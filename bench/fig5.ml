@@ -75,6 +75,17 @@ let run_one ~budget_bytes scale =
         baseline;
       })
 
+(* time per MB over the documents of at least 1 MB; smaller ones are
+   timer-noise dominated *)
+let per_mb rows =
+  List.filter_map
+    (fun r -> if r.size_mb >= 1.0 then Some (r.xaos_time /. r.size_mb) else None)
+    rows
+
+let spread xs = (List.fold_left min infinity xs, List.fold_left max 0. xs)
+
+let baseline_failed rows = List.exists (fun r -> r.baseline = None) rows
+
 let run ~scales ~budget_mb () =
   Util.print_header
     "Figure 5: time vs XMark document size (//listitem/ancestor::category//name)";
@@ -82,8 +93,7 @@ let run ~scales ~budget_mb () =
   Printf.printf "baseline heap budget: %d MB (models the paper's 256 MB machine)\n"
     budget_mb;
   let rows = List.map (run_one ~budget_bytes) scales in
-  (* per-scale stats in the run report, so `xaos report diff` can gate
-     streaming-eval time and peak heap across PRs *)
+  (* per-scale stats in the run report, for `xaos report diff` *)
   List.iter
     (fun r ->
       let stat fmt = Printf.sprintf fmt r.scale in
@@ -113,22 +123,34 @@ let run ~scales ~budget_mb () =
            | None -> "> budget");
          ])
        rows);
-  (* shape checks the paper reports: time per MB should be flat across
-     scales (the smallest documents are timer-noise dominated, so the
-     check starts at 1 MB) *)
-  let per_mb =
-    List.filter_map
-      (fun r ->
-        if r.size_mb >= 1.0 then Some (r.xaos_time /. r.size_mb) else None)
-      rows
-  in
-  (match per_mb with
+  (match per_mb rows with
   | [] -> ()
-  | _ :: _ ->
-    let lo = List.fold_left min infinity per_mb in
-    let hi = List.fold_left max 0. per_mb in
+  | per_mb ->
+    let lo, hi = spread per_mb in
     Util.note "xaos time per MB across scales: %.1f-%.1f ms (flat = linear)"
       (1000. *. lo) (1000. *. hi));
-  let failed = List.exists (fun r -> r.baseline = None) rows in
-  Util.note "baseline failure past budget reproduced: %b" failed;
+  Util.note "baseline failure past budget reproduced: %b"
+    (baseline_failed rows);
   rows
+
+(* The paper's two Figure 5 claims, as checks: time per MB stays flat
+   (the slowest document of at least 1 MB within 2x of the fastest) and
+   the baseline fails once its tree outgrows the heap budget. Returns
+   the claims that no longer hold. *)
+let violations rows =
+  let flat =
+    match per_mb rows with
+    | [] -> []
+    | per_mb ->
+      let lo, hi = spread per_mb in
+      if hi <= 2. *. lo then []
+      else
+        [ Printf.sprintf
+            "time per MB is not flat: %.1f-%.1f ms/MB (%.2fx, bound 2x)"
+            (1000. *. lo) (1000. *. hi) (hi /. lo) ]
+  in
+  let budget =
+    if baseline_failed rows then []
+    else [ "the DOM baseline completed within its heap budget at every scale" ]
+  in
+  flat @ budget

@@ -87,7 +87,7 @@ let outcome_key (o : Query_set.outcome) =
 (* Run the whole document list through one dispatch mode; returns the
    per-document outcome keys (the differential oracle input), the total
    match count, the dispatch stats and the wall-clock time. *)
-let run_mode ?compact ?gate set dispatch docs_events =
+let run_mode set dispatch docs_events =
   let keys = ref [] in
   let matches = ref 0 in
   let dispatched = ref 0 in
@@ -96,7 +96,7 @@ let run_mode ?compact ?gate set dispatch docs_events =
     Util.time (fun () ->
         List.iter
           (fun events ->
-            let s = Query_set.start ~dispatch ?compact ?gate set in
+            let s = Query_set.start ~dispatch set in
             List.iter (Query_set.feed s) events;
             let outcomes = Query_set.finish s in
             let d, sup = Query_set.dispatch_stats s in
@@ -217,247 +217,3 @@ let run ~subscription_counts ~docs () =
     yfilter_ok xaos_ok;
   Util.note "the shared index routes events instead of sharing states, so";
   Util.note "it keeps the full language the automaton class excludes."
-
-(* Whole-query-set compaction (PR 10): duplicate-heavy subscription
-   sets, the shape large pub/sub deployments actually have — thousands
-   of subscribers over a few hundred distinct queries. The equivalence
-   classing folds duplicates into one engine with fan-out emission; the
-   shared-prefix gate additionally keeps classes dormant until the
-   document touches one of their prefixes. The PR 9 baseline is the
-   uncompacted shared index (one engine per subscription); naive is the
-   reference oracle for all modes. *)
-let compaction ~subs ~distinct ~docs () =
-  Util.print_header
-    "Whole-query-set compaction: duplicate-heavy subscription sets";
-  let doc_rng = Prng.create 501 in
-  let documents = List.init docs (fun _ -> document doc_rng) in
-  let docs_events =
-    List.map (fun d -> Xaos_xml.Sax.events_of_string d) documents
-  in
-  let pool_rng = Prng.create 47 in
-  let pool = Array.init distinct (fun _ -> subscription pool_rng) in
-  let pick_rng = Prng.create 53 in
-  let sub_list =
-    List.init subs (fun _ -> pool.(Prng.int pick_rng distinct))
-  in
-  let set =
-    match
-      Query_set.compile (List.mapi (fun i q -> (string_of_int i, q)) sub_list)
-    with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
-  let classes = Query_set.class_count set in
-  let ratio = float_of_int subs /. float_of_int (max 1 classes) in
-  Printf.printf
-    "%d documents; %d subscriptions drawn from %d distinct queries -> %d \
-     engine classes (%.1fx compaction)\n"
-    docs subs distinct classes ratio;
-  let naive_keys, naive_matches, _, _, naive_time =
-    run_mode ~compact:false set Query_set.Naive docs_events
-  in
-  (* PR 9 baseline: shared dispatch index, one engine per subscription *)
-  let unc_keys, unc_matches, _, _, unc_time =
-    run_mode ~compact:false set Query_set.Shared docs_events
-  in
-  let com_keys, com_matches, _, _, com_time =
-    run_mode ~compact:true set Query_set.Shared docs_events
-  in
-  let gate_keys, gate_matches, _, _, gate_time =
-    run_mode ~compact:true ~gate:true set Query_set.Shared docs_events
-  in
-  (* the differential oracle: byte-identical outcomes across every mode *)
-  if unc_keys <> naive_keys then
-    failwith "compaction bench: uncompacted shared diverged from naive";
-  if com_keys <> naive_keys then
-    failwith "compaction bench: compacted diverged from naive";
-  if gate_keys <> naive_keys then
-    failwith "compaction bench: gated diverged from naive";
-  if
-    naive_matches <> unc_matches
-    || unc_matches <> com_matches
-    || com_matches <> gate_matches
-  then failwith "compaction bench: modes disagree on match count";
-  let prefix = Printf.sprintf "compaction/%d" subs in
-  let compacted_speedup = unc_time /. com_time in
-  let gated_speedup = unc_time /. gate_time in
-  Util.record (prefix ^ "/classes") (float_of_int classes);
-  Util.record (prefix ^ "/ratio") ratio;
-  Util.record (prefix ^ "/naive_s") naive_time;
-  Util.record (prefix ^ "/uncompacted_s") unc_time;
-  Util.record (prefix ^ "/compacted_s") com_time;
-  Util.record (prefix ^ "/gated_s") gate_time;
-  Util.record (prefix ^ "/compacted_speedup") compacted_speedup;
-  Util.record (prefix ^ "/gated_speedup") gated_speedup;
-  Util.print_table
-    ~columns:[ "mode"; "engines"; "time s"; "vs PR9 shared"; "matches" ]
-    [ [ "naive"; string_of_int subs; Util.fsec naive_time; "-";
-        string_of_int naive_matches ];
-      [ "shared (PR9)"; string_of_int subs; Util.fsec unc_time; "1.0x";
-        string_of_int unc_matches ];
-      [ "shared+compact"; string_of_int classes; Util.fsec com_time;
-        Printf.sprintf "%.1fx" compacted_speedup; string_of_int com_matches ];
-      [ "compact+gate"; string_of_int classes; Util.fsec gate_time;
-        Printf.sprintf "%.1fx" gated_speedup; string_of_int gate_matches ] ];
-  Util.note
-    "one engine per equivalence class: %d subscriptions collapse to %d \
-     engines (%.1fx), %.1fx faster than the per-subscription shared index"
-    subs classes ratio compacted_speedup;
-  compacted_speedup
-
-(* Sustained service load (PR 6): the supervised broker — the evaluation
-   core of `xaos serve` — digesting a long document stream against a
-   large live subscription set, once clean and once with byte-level
-   chaos faults at a fixed rate. The robustness machinery (lenient
-   recovery with fault accounting, per-run budgets, resource limits,
-   quarantine bookkeeping) is all on this path, so the clean/faulted
-   throughput ratio is its price. *)
-
-module Chaos = Xaos_xml.Chaos
-module Broker = Xaos_service.Broker
-
-let byte_fault_kinds =
-  [ Chaos.Truncate; Chaos.Corrupt_tag; Chaos.Text_burst; Chaos.Depth_burst ]
-
-let sustained ?(earliest = false) ?(attrib = false) ~subs ~docs ~fault_rate
-    () =
-  Util.print_header
-    (if earliest then
-       "Sustained service load: broker throughput under chaos faults \
-        (earliest-decision emission)"
-     else "Sustained service load: broker throughput under chaos faults");
-  (* cost attribution for the whole experiment: accounts accumulate over
-     both streams and land in the report's attribution section (the
-     registry is left enabled so Util.write_report sees it) *)
-  if attrib then begin
-    Xaos_obs.Attrib.reset ();
-    Xaos_obs.Attrib.enable ()
-  end;
-  let sub_rng = Prng.create 911 in
-  let queries =
-    List.init subs (fun i -> (Printf.sprintf "s%d" i, subscription sub_rng))
-  in
-  let doc_rng = Prng.create 907 in
-  let documents = List.init docs (fun _ -> document doc_rng) in
-  Printf.printf "%d documents against %d live subscriptions, fault rate %g\n"
-    docs subs fault_rate;
-  let stream label rate =
-    let config =
-      { Broker.default_config with
-        budget = Some 100_000; deadline_s = None; reset_symbols_every = 64;
-        earliest }
-    in
-    let b = Broker.create ~config () in
-    List.iter
-      (fun (name, query) ->
-        match Broker.subscribe b ~name ~query with
-        | Ok () -> ()
-        | Error e -> failwith e)
-      queries;
-    let faulted = ref 0 in
-    let recoveries = ref 0 in
-    let limit_ends = ref 0 in
-    let events = ref 0 in
-    let matched = ref 0 in
-    let streamed = ref 0 in
-    let on_item ~name:_ _ = incr streamed in
-    let (), time =
-      Util.time (fun () ->
-          List.iteri
-            (fun i doc ->
-              let p =
-                Chaos.plan ~kinds:byte_fault_kinds ~seed:31 ~rate i
-              in
-              if Chaos.kind p <> None then incr faulted;
-              let o =
-                Broker.publish
-                  ?on_item:(if earliest then Some on_item else None)
-                  b ~doc_id:(string_of_int i)
-                  (Chaos.corrupt p doc)
-              in
-              recoveries := !recoveries + o.Broker.faults;
-              if o.Broker.limit_hit <> None then incr limit_ends;
-              events := !events + o.Broker.events;
-              matched := !matched + List.length o.Broker.matches)
-            documents)
-    in
-    let docs_per_s = float_of_int docs /. time in
-    Util.record (Printf.sprintf "sustained/%d/%s_docs_per_s" subs label)
-      docs_per_s;
-    Util.record
-      (Printf.sprintf "sustained/%d/%s_events_per_s" subs label)
-      (float_of_int !events /. time);
-    if earliest then
-      Util.record
-        (Printf.sprintf "sustained/%d/%s_streamed_items" subs label)
-        (float_of_int !streamed);
-    (label, time, docs_per_s, !faulted, !recoveries, !limit_ends, !matched)
-  in
-  (* Run instrumented: the per-stage and emission histograms populate
-     the report's service_latency section, and their clock reads are on
-     the supervised path whose price this experiment measures. *)
-  let tel_was = Xaos_obs.Telemetry.enabled () in
-  Xaos_obs.Telemetry.enable ();
-  Xaos_obs.Histogram.reset_all ();
-  let rows = [ stream "clean" 0.0; stream "faulted" fault_rate ] in
-  List.iter (fun (n, v) -> Util.record n v) (Xaos_obs.Histogram.stats ());
-  if not tel_was then Xaos_obs.Telemetry.disable ();
-  Util.print_table
-    ~columns:
-      [ "stream"; "time s"; "docs/s"; "faulted docs"; "recoveries";
-        "limit ends"; "matches" ]
-    (List.map
-       (fun (label, time, dps, faulted, recoveries, limit_ends, matched) ->
-         [ label; Util.fsec time; Printf.sprintf "%.0f" dps;
-           string_of_int faulted; string_of_int recoveries;
-           string_of_int limit_ends; string_of_int matched ])
-       rows);
-  (match rows with
-  | [ (_, _, clean, _, _, _, _); (_, _, faulted, _, _, _, _) ] ->
-    Util.record
-      (Printf.sprintf "sustained/%d/fault_overhead" subs)
-      (clean /. faulted);
-    Util.note
-      "supervision overhead: the faulted stream runs at %.2fx the clean \
-       stream's cost"
-      (clean /. faulted)
-  | _ -> ());
-  (* the cost-skew table: where the match time actually went, per
-     subscription — the headline for EXPERIMENTS.md and the data behind
-     the committed attribution baseline *)
-  if attrib then begin
-    let totals = Xaos_obs.Attrib.totals () in
-    let top = Xaos_obs.Attrib.top ~by:Xaos_obs.Attrib.By_match_s 10 in
-    Util.print_header "Cost attribution: most expensive subscriptions";
-    Printf.printf
-      "%d accounts, %s match-time seconds total across both streams\n"
-      totals.Xaos_obs.Attrib.t_subscriptions
-      (Util.fsec totals.Xaos_obs.Attrib.t_match_s);
-    let share s =
-      if totals.Xaos_obs.Attrib.t_match_s > 0. then
-        100. *. s /. totals.Xaos_obs.Attrib.t_match_s
-      else 0.
-    in
-    Util.print_table
-      ~columns:
-        [ "subscription"; "docs"; "events"; "match ms"; "share %";
-          "emitted"; "faults" ]
-      (List.map
-         (fun (sn : Xaos_obs.Attrib.snapshot) ->
-           [ sn.sn_key; string_of_int sn.sn_docs;
-             string_of_int sn.sn_events;
-             Printf.sprintf "%.3f" (sn.sn_match_s *. 1e3);
-             Printf.sprintf "%.1f" (share sn.sn_match_s);
-             string_of_int sn.sn_emissions; string_of_int sn.sn_faults ])
-         top);
-    let top_share =
-      share
-        (List.fold_left (fun acc sn -> acc +. sn.Xaos_obs.Attrib.sn_match_s)
-           0. top)
-    in
-    Util.record
-      (Printf.sprintf "sustained/%d/attrib_top10_match_share_pct" subs)
-      top_share;
-    Util.note "the top %d accounts hold %.1f%% of all match time"
-      (List.length top) top_share
-  end

@@ -10,7 +10,11 @@
 
    Absolute numbers differ from the paper's 550 MHz Pentium III; the
    shapes (linearity, who wins, failure modes) are what EXPERIMENTS.md
-   records. *)
+   records, and Figure 5's two shape claims fail the run when they no
+   longer hold. Each subcommand writes its run report to the git-ignored
+   bench-report.json unless --report names another file. The service's
+   end-to-end numbers come from the repository benchmark,
+   `python3 perfbench/run.py`. *)
 
 open Cmdliner
 
@@ -23,12 +27,23 @@ let scales_of ~full scales_opt =
    flushes them into one JSON run report at the end. *)
 let reporting report f =
   Util.set_report_path report;
-  f ();
-  Util.write_report ()
+  let result = f () in
+  Util.write_report ();
+  result
+
+(* Figure 5's shape claims are checked after the report is written, so a
+   failing run still leaves its numbers behind. *)
+let check_fig5 rows =
+  match Fig5.violations rows with
+  | [] -> ()
+  | violations ->
+    List.iter (Printf.eprintf "fig5: claim violated: %s\n") violations;
+    exit 1
 
 let run_fig5 report full budget_mb scales_opt =
-  reporting report (fun () ->
-      ignore (Fig5.run ~scales:(scales_of ~full scales_opt) ~budget_mb ()))
+  check_fig5
+    (reporting report (fun () ->
+         Fig5.run ~scales:(scales_of ~full scales_opt) ~budget_mb ()))
 
 let run_table3 report full scales_opt =
   reporting report (fun () ->
@@ -56,10 +71,6 @@ let run_filtering report full counts_opt =
         ~subscription_counts:(filtering_counts ~full counts_opt)
         ~docs:(if full then 12 else 8) ())
 
-let run_sustained report subs docs rate earliest attrib =
-  reporting report (fun () ->
-      Filtering.sustained ~earliest ~attrib ~subs ~docs ~fault_rate:rate ())
-
 let run_micro report = reporting report (fun () -> Micro.run ())
 
 let run_relevance report full scales_opt =
@@ -70,49 +81,20 @@ let run_relevance report full scales_opt =
   in
   reporting report (fun () -> Relevance.run ~scales ())
 
-(* The PR 5 gate sweep: single-query evaluation (Figure 5 shape) plus the
-   1000-subscriber filtering point, the two workloads whose hot paths the
-   interned-symbol core changed. Record names overlap the committed PR 3
-   and PR 4 baselines so `xaos report diff` can compare dispatch and eval
-   timings directly. *)
-let run_pr5 report full =
-  reporting report (fun () ->
-      ignore (Fig5.run ~scales:(scales_of ~full None) ~budget_mb:48 ());
-      Filtering.run ~subscription_counts:[ 1000 ]
-        ~docs:(if full then 12 else 8) ())
-
-(* The PR 10 compaction gate: duplicate-heavy subscription sets at two
-   scales, recording the compacted/uncompacted speedup and the class
-   counts for `xaos report diff` against the committed baseline. The
-   acceptance bar is >= 2x over the per-subscription shared index at
-   1000 subscriptions. *)
-let run_pr10 report full subs distinct docs =
-  reporting report (fun () ->
-      ignore (Filtering.compaction ~subs:100 ~distinct:25 ~docs ());
-      let speedup = Filtering.compaction ~subs ~distinct ~docs () in
-      ignore full;
-      if speedup < 2.0 then
-        failwith
-          (Printf.sprintf
-             "pr10 gate: compacted speedup %.2fx is below the 2x acceptance \
-              bar"
-             speedup))
-
 let run_all report full =
-  reporting report (fun () ->
-      ignore (Fig5.run ~scales:(scales_of ~full None) ~budget_mb:48 ());
-      ignore (Table3.run ~scales:(scales_of ~full None) ());
-      let sizes = if full then Fig67.paper_sizes else Fig67.default_sizes in
-      ignore (Fig67.run ~sizes ~runs:(if full then 10 else 5) ());
-      Ablation.run ~scale:(if full then 0.05 else 0.02) ();
-      Filtering.run
-        ~subscription_counts:(filtering_counts ~full None)
-        ~docs:(if full then 12 else 8) ();
-      Filtering.sustained ~subs:1000
-        ~docs:(if full then 200 else 64)
-        ~fault_rate:0.15 ();
-      Relevance.run ();
-      Micro.run ())
+  check_fig5
+    (reporting report (fun () ->
+         let fig5 = Fig5.run ~scales:(scales_of ~full None) ~budget_mb:48 () in
+         ignore (Table3.run ~scales:(scales_of ~full None) ());
+         let sizes = if full then Fig67.paper_sizes else Fig67.default_sizes in
+         ignore (Fig67.run ~sizes ~runs:(if full then 10 else 5) ());
+         Ablation.run ~scale:(if full then 0.05 else 0.02) ();
+         Filtering.run
+           ~subscription_counts:(filtering_counts ~full None)
+           ~docs:(if full then 12 else 8) ();
+         Relevance.run ();
+         Micro.run ();
+         fig5))
 
 (* ---------------- cmdliner plumbing ---------------- *)
 
@@ -149,52 +131,12 @@ let report_t =
   let doc = "Write results as a versioned JSON run report to $(docv)." in
   Arg.(
     value
-    & opt string "BENCH_PR4.json"
+    & opt string Util.default_report
     & info [ "report" ] ~docv:"FILE" ~doc)
 
 let counts_t =
   let doc = "Comma-separated subscription-set sizes for the filtering sweep." in
   Arg.(value & opt (some (list ~sep:',' int)) None & info [ "counts" ] ~doc)
-
-let pr5_report_t =
-  let doc = "Write results as a versioned JSON run report to $(docv)." in
-  Arg.(
-    value
-    & opt string "BENCH_PR5.json"
-    & info [ "report" ] ~docv:"FILE" ~doc)
-
-let pr5_cmd =
-  Cmd.v
-    (Cmd.info "pr5"
-       ~doc:"Interned-symbol core gate: Figure 5 evaluation sweep plus the \
-             1000-subscriber filtering point, for `xaos report diff` \
-             against the committed baselines")
-    Term.(const run_pr5 $ pr5_report_t $ full_t)
-
-let pr10_report_t =
-  let doc = "Write results as a versioned JSON run report to $(docv)." in
-  Arg.(
-    value
-    & opt string "BENCH_PR10.json"
-    & info [ "report" ] ~docv:"FILE" ~doc)
-
-let pr10_cmd =
-  let subs_doc = "Subscriptions drawn (with duplicates) from the pool." in
-  let subs_t = Arg.(value & opt int 1000 & info [ "subs" ] ~doc:subs_doc) in
-  let distinct_doc = "Distinct queries in the subscription pool." in
-  let distinct_t =
-    Arg.(value & opt int 50 & info [ "distinct" ] ~doc:distinct_doc)
-  in
-  let docs_doc = "Documents in the stream." in
-  let docs_t = Arg.(value & opt int 8 & info [ "docs" ] ~doc:docs_doc) in
-  Cmd.v
-    (Cmd.info "pr10"
-       ~doc:"Query-set compaction gate: duplicate-heavy subscription sets \
-             through the naive loop, the per-subscription shared index, \
-             engine-class compaction, and compaction plus the prefix gate, \
-             with a differential oracle; fails below the 2x speedup bar")
-    Term.(const run_pr10 $ pr10_report_t $ full_t $ subs_t $ distinct_t
-          $ docs_t)
 
 let fig5_cmd =
   Cmd.v
@@ -229,34 +171,6 @@ let filtering_cmd =
              index")
     Term.(const run_filtering $ report_t $ full_t $ counts_t)
 
-let sustained_cmd =
-  let subs_doc = "Live subscriptions registered on the broker." in
-  let subs_t = Arg.(value & opt int 1000 & info [ "subs" ] ~doc:subs_doc) in
-  let docs_doc = "Documents in the stream." in
-  let docs_t = Arg.(value & opt int 64 & info [ "docs" ] ~doc:docs_doc) in
-  let rate_doc = "Chaos fault probability per document." in
-  let rate_t = Arg.(value & opt float 0.15 & info [ "rate" ] ~doc:rate_doc) in
-  let earliest_doc =
-    "Run every subscription in earliest-decision emission mode: each \
-     result streams out at its decision point, so the engine/emission \
-     histogram measures decision-to-emission distance instead of \
-     decision-to-end-of-document."
-  in
-  let earliest_t = Arg.(value & flag & info [ "earliest" ] ~doc:earliest_doc) in
-  let attrib_doc =
-    "Enable per-subscription cost attribution for the run; the report \
-     gains the schema-v4 attribution section (totals plus the most \
-     expensive accounts)."
-  in
-  let attrib_t = Arg.(value & flag & info [ "attrib" ] ~doc:attrib_doc) in
-  Cmd.v
-    (Cmd.info "sustained"
-       ~doc:"Sustained service load: supervised broker docs/s against a \
-             large live subscription set, clean vs a fixed chaos fault \
-             rate")
-    Term.(const run_sustained $ report_t $ subs_t $ docs_t $ rate_t
-          $ earliest_t $ attrib_t)
-
 let micro_cmd =
   Cmd.v
     (Cmd.info "micro" ~doc:"Bechamel micro-benchmarks, one per table/figure kernel")
@@ -285,5 +199,4 @@ let () =
     (Cmd.eval
        (Cmd.group ~default:default_t info
           [ fig5_cmd; table3_cmd; fig6_cmd; fig7_cmd; ablation_cmd;
-            filtering_cmd; sustained_cmd; relevance_cmd; micro_cmd; pr5_cmd;
-            pr10_cmd; all_cmd ]))
+            filtering_cmd; relevance_cmd; micro_cmd; all_cmd ]))

@@ -2,7 +2,8 @@
    statistics, fixed-width table rendering — and, since the telemetry
    layer landed, report accumulation: everything printed as a table or
    recorded as a scalar also lands in a versioned JSON run report
-   (BENCH_PR2.json by default) via {!write_report}. *)
+   ({!default_report} unless a subcommand names another) via
+   {!write_report}. *)
 
 module Report = Xaos_obs.Report
 module Json = Xaos_obs.Json
@@ -55,7 +56,10 @@ let mb bytes = float_of_int bytes /. 1048576.
 let section = ref "bench"
 let tables : Report.table list ref = ref []
 let scalars : (string * float) list ref = ref []
-let report_path = ref "BENCH_PR2.json"
+(* git-ignored, so a bench run never rewrites a tracked file *)
+let default_report = "bench-report.json"
+
+let report_path = ref default_report
 
 let set_report_path path = report_path := path
 
@@ -69,18 +73,10 @@ let write_report () =
       ("ocaml_version", Json.String Sys.ocaml_version);
     ]
   in
-  (* benches that ran with cost attribution on (sustained --attrib)
-     leave it enabled so the report carries the v4 attribution section *)
-  let attribution =
-    if Xaos_obs.Attrib.enabled () then
-      Some (Xaos_obs.Attrib.report_section ())
-    else None
-  in
   let report =
-    Report.make ?attribution ~kind:"bench" ~config
+    Report.make ~kind:"bench" ~config
       ~stats:(List.rev !scalars) ~tables:(List.rev !tables)
-      ~gc:(Report.gc_now ())
-      ~service_latency:(Xaos_obs.Histogram.summaries ()) ()
+      ~gc:(Report.gc_now ()) ()
   in
   Report.write !report_path report;
   Printf.printf "\nreport: %s\n" !report_path

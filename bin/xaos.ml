@@ -803,45 +803,45 @@ let report_diff_cmd old_path new_path threshold_pct =
     | Error msg -> die exit_ill_formed (path ^ ": " ^ msg)
   in
   let old_r = load old_path and new_r = load new_path in
-  if old_r.Xaos_obs.Report.version <> new_r.Xaos_obs.Report.version then
-    Format.printf "note: comparing schema v%d against v%d@."
-      old_r.Xaos_obs.Report.version new_r.Xaos_obs.Report.version;
   let old_stats = old_r.Xaos_obs.Report.stats
   and new_stats = new_r.Xaos_obs.Report.stats in
   let regressions = ref [] in
+  (* one table row; growth beyond the threshold regresses only [gated]
+     stats *)
+  let row ~gated name ov nv =
+    let pct =
+      if ov <> 0. then Some ((nv -. ov) /. Float.abs ov *. 100.) else None
+    in
+    let regressed =
+      gated
+      &&
+      match pct with
+      | Some pct -> pct > threshold_pct
+      | None -> nv > 0.
+    in
+    if regressed then regressions := name :: !regressions;
+    Format.printf "%-28s %14g %14g %9s%%%s@." name ov nv
+      (match pct with
+      | Some pct -> Printf.sprintf "%+.1f" pct
+      | None -> "n/a")
+      (if regressed then "  !" else "")
+  in
   Format.printf "%-28s %14s %14s %10s@." "stat" "old" "new" "delta";
   List.iter
     (fun (name, ov) ->
       match List.assoc_opt name new_stats with
       | None -> Format.printf "%-28s %14g %14s@." name ov "(dropped)"
-      | Some nv ->
-        let pct =
-          if ov <> 0. then Some ((nv -. ov) /. Float.abs ov *. 100.)
-          else None
-        in
-        let regressed =
-          worse_when_larger name
-          &&
-          match pct with
-          | Some pct -> pct > threshold_pct
-          | None -> nv > 0.
-        in
-        if regressed then regressions := name :: !regressions;
-        Format.printf "%-28s %14g %14g %9s%%%s@." name ov nv
-          (match pct with
-          | Some pct -> Printf.sprintf "%+.1f" pct
-          | None -> "n/a")
-          (if regressed then "  !" else ""))
+      | Some nv -> row ~gated:(worse_when_larger name) name ov nv)
     old_stats;
   List.iter
     (fun (name, nv) ->
       if not (List.mem_assoc name old_stats) then
         Format.printf "%-28s %14s %14g@." name "(new)" nv)
     new_stats;
-  (* schema v3 service-latency sections: compare the key quantiles per
-     histogram when both reports carry them. Quantile stats already
-     present in the flat [stats] list (service reports embed them there
-     too) are skipped — one verdict per number. *)
+  (* service-latency sections: compare the key quantiles per histogram
+     when both reports carry them. Quantile stats already present in the
+     flat [stats] list (service reports embed them there too) are
+     skipped — one verdict per number. *)
   let old_lat = old_r.Xaos_obs.Report.service_latency
   and new_lat = new_r.Xaos_obs.Report.service_latency in
   if old_lat <> [] && new_lat <> [] then
@@ -865,31 +865,17 @@ let report_diff_cmd old_path new_path threshold_pct =
               let name =
                 os.Xaos_obs.Histogram.s_name ^ "_" ^ q ^ unit_suffix
               in
-              if not (List.mem_assoc name old_stats) then begin
-                let pct =
-                  if ov <> 0. then Some ((nv -. ov) /. Float.abs ov *. 100.)
-                  else None
-                in
-                let regressed =
-                  (* latency: larger is always worse *)
-                  match pct with
-                  | Some pct -> pct > threshold_pct
-                  | None -> nv > 0.
-                in
-                if regressed then regressions := name :: !regressions;
-                Format.printf "%-28s %14g %14g %9s%%%s@." name ov nv
-                  (match pct with
-                  | Some pct -> Printf.sprintf "%+.1f" pct
-                  | None -> "n/a")
-                  (if regressed then "  !" else "")
-              end)
+              (* latency: larger is always worse *)
+              if not (List.mem_assoc name old_stats) then
+                row ~gated:true name ov nv)
             [ ("p50", os.Xaos_obs.Histogram.s_p50, ns.Xaos_obs.Histogram.s_p50);
               ("p99", os.Xaos_obs.Histogram.s_p99, ns.Xaos_obs.Histogram.s_p99)
             ])
       old_lat;
-  (* optional sections may legitimately be absent on one side — e.g. a
-     v3 baseline against a v4 report, or attribution recorded in only
-     one run. Skip with a note; only both-sided sections gate. *)
+  (* optional sections may legitimately be absent on one side — an eval
+     report has no attribution, a service report carries one only while
+     attribution is on. Skip with a note; only both-sided sections
+     gate. *)
   let skip_note section side =
     Format.printf "note: skipping %s (absent in %s)@." section side
   in
@@ -905,24 +891,7 @@ let report_diff_cmd old_path new_path threshold_pct =
   | Some oa, Some na ->
     let open Xaos_obs.Report in
     List.iter
-      (fun (name, ov, nv) ->
-        let pct =
-          if ov <> 0. then Some ((nv -. ov) /. Float.abs ov *. 100.)
-          else None
-        in
-        let regressed =
-          worse_when_larger name
-          &&
-          match pct with
-          | Some pct -> pct > threshold_pct
-          | None -> nv > 0.
-        in
-        if regressed then regressions := name :: !regressions;
-        Format.printf "%-28s %14g %14g %9s%%%s@." name ov nv
-          (match pct with
-          | Some pct -> Printf.sprintf "%+.1f" pct
-          | None -> "n/a")
-          (if regressed then "  !" else ""))
+      (fun (name, ov, nv) -> row ~gated:(worse_when_larger name) name ov nv)
       [ ("attribution/subscriptions",
          float_of_int oa.at_subscriptions,
          float_of_int na.at_subscriptions);
@@ -970,9 +939,9 @@ let report_command =
         Term.(const report_validate_cmd $ path);
       Cmd.v
         (Cmd.info "diff"
-           ~doc:"Compare the stats of two run reports (any readable \
-                 schema versions); exit 1 when a timing or space stat \
-                 regressed beyond --threshold-pct")
+           ~doc:"Compare the stats of two run reports of the current \
+                 schema; exit 1 when a timing or space stat regressed \
+                 beyond --threshold-pct")
         Term.(const report_diff_cmd $ old_path $ new_path $ threshold);
     ]
 

@@ -190,8 +190,8 @@ type member = {
 }
 
 (* One engine equivalence class: a single {!Query.run} evaluated once
-   per document, fanning results out to every member. Uncompacted
-   sessions degenerate to one singleton class per subscription. *)
+   per document, fanning results out to every member. Naive sessions
+   run one singleton class per subscription. *)
 type run_state = {
   rs_id : int;
   rs_query : Query.t;
@@ -220,7 +220,6 @@ type run_state = {
 type session = {
   mode : dispatch;
   budget : int option;  (** applied to runs added mid-session too *)
-  compact : bool;
   mutable runs_rev : run_state list;  (** reverse creation order *)
   mutable members_rev : (member * run_state) list;
       (** reverse registration order — the outcome order *)
@@ -450,19 +449,17 @@ let activate s rs =
       | Naive -> ()
     end
 
-let start ?budget ?(dispatch = Shared) ?(compact = true) ?(gate = false)
-    ?on_item t =
+let start ?budget ?(dispatch = Shared) ?(gate = false) ?on_item t =
   Xaos_obs.Telemetry.incr counter_documents;
   (* compaction (and the gate riding on it) only applies to shared
      dispatch: the naive loop is the uncompacted reference oracle *)
-  let compact = compact && dispatch = Shared in
+  let compact = dispatch = Shared in
   let gate = gate && compact in
   let gc = if gate then Some (gate_for t) else None in
   let s =
     {
       mode = dispatch;
       budget;
-      compact;
       runs_rev = [];
       members_rev = [];
       classes = Hashtbl.create 16;
@@ -744,18 +741,18 @@ let set_stream_byte s b = s.current_byte <- b
 (* One-shot helpers                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let run_events ?budget ?dispatch ?compact ?gate t events =
-  let s = start ?budget ?dispatch ?compact ?gate t in
+let run_events ?budget ?dispatch ?gate t events =
+  let s = start ?budget ?dispatch ?gate t in
   List.iter (feed s) events;
   finish s
 
-let run_sax ?budget ?dispatch ?compact ?gate t parser =
-  let s = start ?budget ?dispatch ?compact ?gate t in
+let run_sax ?budget ?dispatch ?gate t parser =
+  let s = start ?budget ?dispatch ?gate t in
   Xaos_xml.Sax.iter (feed s) parser;
   finish s
 
-let run_string ?budget ?dispatch ?compact ?gate t input =
-  run_sax ?budget ?dispatch ?compact ?gate t (Xaos_xml.Sax.of_string input)
+let run_string ?budget ?dispatch ?gate t input =
+  run_sax ?budget ?dispatch ?gate t (Xaos_xml.Sax.of_string input)
 
 let run_doc ?budget t doc =
   (* DOM replay bypasses the event stream, so dispatch stays per-run;

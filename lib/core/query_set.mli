@@ -124,27 +124,27 @@ type dispatch =
 type session
 
 val start :
-  ?budget:int -> ?dispatch:dispatch -> ?compact:bool -> ?gate:bool ->
+  ?budget:int -> ?dispatch:dispatch -> ?gate:bool ->
   ?on_item:(name:string -> Item.t -> unit) -> t -> session
 (** Fresh runs for one document. [budget] caps live matching structures
     per disjunct engine of every run. [dispatch] defaults to
-    {!Shared}. [compact] (default [true], {!Shared} only) folds
-    subscriptions with equal {!Query.class_key} into one shared engine
-    with fan-out emission; under {!Naive} it is forced off so the naive
-    loop stays the uncompacted reference. [gate] (default [false];
-    implies [compact]) additionally keeps gateable classes
-    ({!Query.gate_prefixes}) dormant behind the shared-prefix trie,
-    attaching them mid-document on first prefix acceptance — results
-    are unchanged, but per-event dispatch/suppression counts differ
-    from the ungated session, which is why it is opt-in here (the
-    service broker turns it on). [on_item] enables mid-document match
-    delivery: it is wired as the [on_match] callback of every class
-    whose query was compiled with a non-deferred {!Engine.emission}
-    mode (deferred runs never call it — their items only appear in the
-    {!finish} outcomes), fires at most once per (member, item), and is
-    muted for members detached via {!remove_run}. Items delivered
-    mid-stream still appear in the member's outcome: the callback is a
-    preview, the outcome stays the complete record. *)
+    {!Shared}, which folds subscriptions with equal {!Query.class_key}
+    into one shared engine with fan-out emission; {!Naive} runs one
+    engine per subscription and stays the uncompacted reference.
+    [gate] (default [false]; {!Shared} only) additionally keeps
+    gateable classes ({!Query.gate_prefixes}) dormant behind the
+    shared-prefix trie, attaching them mid-document on first prefix
+    acceptance — results are unchanged, but per-event
+    dispatch/suppression counts differ from the ungated session, which
+    is why it is opt-in here (the service broker turns it on).
+    [on_item] enables mid-document match delivery: it is wired as the
+    [on_match] callback of every class whose query was compiled with a
+    non-deferred {!Engine.emission} mode (deferred runs never call it —
+    their items only appear in the {!finish} outcomes), fires at most
+    once per (member, item), and is muted for members detached via
+    {!remove_run}. Items delivered mid-stream still appear in the
+    member's outcome: the callback is a preview, the outcome stays the
+    complete record. *)
 
 val feed : session -> Xaos_xml.Event.t -> unit
 (** Route one event. Under {!Shared} dispatch, element events reach only
@@ -201,16 +201,16 @@ val session_stats : session -> int * int * int
 (** {2 One-shot helpers} *)
 
 val run_events :
-  ?budget:int -> ?dispatch:dispatch -> ?compact:bool -> ?gate:bool ->
+  ?budget:int -> ?dispatch:dispatch -> ?gate:bool ->
   t -> Xaos_xml.Event.t list -> outcome list
 (** One pass; outcomes in query order, including empty ones. *)
 
 val run_sax :
-  ?budget:int -> ?dispatch:dispatch -> ?compact:bool -> ?gate:bool ->
+  ?budget:int -> ?dispatch:dispatch -> ?gate:bool ->
   t -> Xaos_xml.Sax.t -> outcome list
 
 val run_string :
-  ?budget:int -> ?dispatch:dispatch -> ?compact:bool -> ?gate:bool ->
+  ?budget:int -> ?dispatch:dispatch -> ?gate:bool ->
   t -> string -> outcome list
 
 val run_doc : ?budget:int -> t -> Xaos_xml.Dom.doc -> outcome list

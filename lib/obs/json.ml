@@ -31,7 +31,7 @@ let escape_to buf s =
    no NaN/Infinity, so those degrade to null (and a report should never
    contain them anyway). *)
 let float_repr x =
-  if Float.is_nan x || Float.is_integer (x /. 0.) then "null"
+  if not (Float.is_finite x) then "null"
   else
     let s = Printf.sprintf "%.15g" x in
     let s = if float_of_string s = x then s else Printf.sprintf "%.17g" x in

@@ -1,6 +1,6 @@
 let schema_version = 4
 
-let min_schema_version = 1
+let min_schema_version = 4
 
 type table = {
   title : string;
@@ -287,17 +287,6 @@ let decode_list path conv items =
   in
   loop 0 [] items
 
-(* Optional field with a default: absent is fine (v1 documents lack the
-   v2 additions), present-but-mistyped is still an error. *)
-let opt path key conv ~default json =
-  match Json.member key json with
-  | None -> Ok default
-  | Some v -> (
-    match conv v with
-    | Some x -> Ok x
-    | None ->
-      Error (Printf.sprintf "%s: field %S has the wrong type" path key))
-
 let span_of_json path json =
   let* span_name = req path "name" Json.to_str json in
   let* count = req path "count" Json.to_int json in
@@ -312,10 +301,7 @@ let point_of_json path json =
   let* sn_depth = req path "depth" Json.to_int json in
   let* sn_live = req path "live_structures" Json.to_int json in
   let* sn_looking_for = req path "looking_for" Json.to_int json in
-  (* added in schema v2; v1 snapshots decode with 0 *)
-  let* sn_retained_bytes =
-    opt path "retained_bytes" Json.to_int ~default:0 json
-  in
+  let* sn_retained_bytes = req path "retained_bytes" Json.to_int json in
   let* sn_elapsed_s = req path "elapsed_s" Json.to_float json in
   let* sn_bytes_per_sec = req path "bytes_per_sec" Json.to_float json in
   let* sn_heap_words = req path "heap_words" Json.to_int json in
@@ -495,8 +481,8 @@ let of_json json =
   if version < min_schema_version || version > schema_version then
     Error
       (Printf.sprintf
-         "report: unsupported schema_version %d (this build reads %d-%d)"
-         version min_schema_version schema_version)
+         "report: unsupported schema_version %d (this build reads %d)"
+         version schema_version)
   else
     let* kind = req path "kind" Json.to_str json in
     let* created_at = req path "created_at" Json.to_float json in
@@ -529,7 +515,8 @@ let of_json json =
       | Some r ->
         Result.map Option.some (relevance_of_json (path ^ ".relevance") r)
     in
-    (* added in schema v3; absent in earlier documents *)
+    (* optional sections: a report carries only what its producer
+       measured, and [report diff] notes a section present on one side *)
     let* service_latency =
       match Json.member "service_latency" json with
       | None | Some Json.Null -> Ok []
@@ -537,7 +524,6 @@ let of_json json =
         decode_list (path ^ ".service_latency") latency_of_json values
       | Some _ -> Error (path ^ ": field \"service_latency\" must be an array")
     in
-    (* added in schema v4; absent in earlier documents *)
     let* attribution =
       match Json.member "attribution" json with
       | None | Some Json.Null -> Ok None

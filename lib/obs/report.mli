@@ -1,25 +1,24 @@
 (** Versioned, machine-readable run reports.
 
     One schema serves every producer — [xaos eval --report], the bench
-    harness's [BENCH_*.json], CI smoke runs — so a "before/after" diff of
-    two runs is always a diff of two documents with the same shape.
+    harness's run reports, the service's and the soak's reports, CI smoke
+    runs — so a "before/after" diff of two runs is always a diff of two
+    documents with the same shape.
 
     Schema policy: [schema_version] is bumped on any
     backwards-incompatible change (field removal, type change, meaning
     change); adding optional fields is compatible and does not bump it.
-    v2 added the [relevance] section and [retained_bytes] on snapshot
-    points; v3 added the [service_latency] section (histogram summaries
-    of the live service's per-stage and emission latencies); v4 added the
-    [attribution] section (per-subscription cost accounts) — all
-    optional on read, so {!of_json} and {!validate} accept every version
-    from {!min_schema_version} up to the current one; {!make} always
-    stamps the current version. *)
+    This build reads only the current version (4). Its [gc], [relevance],
+    [service_latency] and [attribution] sections are optional: a report
+    carries what its producer measured. {!make} always stamps the current
+    version. *)
 
 val schema_version : int
 (** Currently [4]. *)
 
 val min_schema_version : int
-(** Oldest version this build still reads ([1]). *)
+(** Oldest version this build still reads ([4]: older reports are
+    rejected as unsupported). *)
 
 type table = {
   title : string;
@@ -132,8 +131,7 @@ val point_to_json : Snapshot.point -> Json.t
 
 val of_json : Json.t -> (t, string) result
 (** Strict decode: missing required fields, wrong types, or an
-    unsupported [version] are errors. Versions older than the current
-    one decode with the later optional sections absent/zeroed. *)
+    unsupported [version] are errors. *)
 
 val validate : Json.t -> (unit, string) result
 (** {!of_json} plus semantic checks: snapshot series monotone in bytes,

@@ -129,6 +129,11 @@ expect "report carries snapshot series" "1" "$OUT"
   || fail "report validate rejected a fresh report"
 echo '{"schema_version": 999, "kind": "eval"}' > "$WORK/future.json"
 code 3 "$XAOS" report validate "$WORK/future.json"
+# reports older than schema v4 are no longer read
+echo '{"schema_version": 3, "kind": "eval"}' > "$WORK/v3.json"
+code 3 "$XAOS" report validate "$WORK/v3.json"
+"$XAOS" report validate "$WORK/v3.json" 2>&1 | grep -q 'unsupported schema_version 3' \
+  || fail "a v3 report is not named unsupported"
 code 2 "$XAOS" report validate "$WORK/no_such_report.json"
 OUT=$("$XAOS" eval --count --metrics - '//b' "$WORK/small.xml" | grep -c '^xaos_sax_events_total')
 expect "metrics exposition has sax counter" "1" "$OUT"

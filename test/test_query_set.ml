@@ -650,10 +650,14 @@ let test_compaction_duplicates_differential () =
   Alcotest.(check int) "class count" 3 (Query_set.class_count t);
   let events = events_of "<r><a><b/><x/></a><b/><a/></r>" in
   let naive = Query_set.run_events ~dispatch:Naive t events in
-  let uncompacted = Query_set.run_events ~compact:false t events in
-  let compacted = Query_set.run_events ~compact:true t events in
-  check_outcomes "uncompacted = naive" naive uncompacted;
+  let compacted = Query_set.run_events t events in
   check_outcomes "compacted = naive" naive compacted;
+  (* the naive loop stays the uncompacted oracle: one engine per
+     subscription, so nothing fans out *)
+  List.iter
+    (fun (o : Query_set.outcome) ->
+      Alcotest.(check int) (o.query_name ^ " naive fanout") 1 o.fanout)
+    naive;
   (* fan-out bookkeeping: every duplicate reports its class's sharing
      degree, singletons report 1 *)
   List.iter
@@ -676,6 +680,53 @@ let test_compaction_duplicates_differential () =
   ignore (Query_set.finish s);
   (* earliest mode fans out through the same shared engines *)
   check_earliest ~partial:false "compaction" pairs events naive
+
+(* The duplicate-heavy pub/sub shape: topic subscriptions drawn with
+   repetition from a small pool, over feed documents that each cover a
+   few of the topics. The compacted session, with and without the prefix
+   gate, must agree with the naive loop outcome for outcome on every
+   document; the set must actually compact and the stream must match. *)
+let test_compaction_sweep_differential () =
+  let topic rng = Printf.sprintf "topic%02d" (Prng.int rng 40) in
+  let pool_rng = Prng.create 47 in
+  let pool =
+    Array.init 25 (fun _ ->
+        let t = topic pool_rng in
+        match Prng.int pool_rng 3 with
+        | 0 -> Printf.sprintf "//%s/item" t
+        | 1 -> Printf.sprintf "/feed/channel/%s//name" t
+        | _ -> Printf.sprintf "//%s//name" t)
+  in
+  let pick_rng = Prng.create 53 in
+  let t =
+    compile_exn
+      (List.init 300 (fun i ->
+           (string_of_int i, pool.(Prng.int pick_rng (Array.length pool)))))
+  in
+  Alcotest.(check bool) "duplicates fold into classes" true
+    (Query_set.class_count t <= Array.length pool);
+  let doc_rng = Prng.create 501 in
+  let document () =
+    let topics =
+      List.init 10 (fun _ ->
+          let t = topic doc_rng in
+          Printf.sprintf "<%s>%s</%s>" t
+            (String.concat ""
+               (List.init 8 (Printf.sprintf "<item><name>n%d</name></item>")))
+            t)
+    in
+    "<feed><channel>" ^ String.concat "" topics ^ "</channel></feed>"
+  in
+  let matched = ref 0 in
+  for _ = 1 to 6 do
+    let events = events_of (document ()) in
+    let naive = Query_set.run_events ~dispatch:Naive t events in
+    check_outcomes "compacted = naive" naive (Query_set.run_events t events);
+    check_outcomes "gated = naive" naive
+      (Query_set.run_events ~gate:true t events);
+    matched := !matched + List.length (Query_set.matching_names naive)
+  done;
+  Alcotest.(check bool) "the stream matches" true (!matched > 0)
 
 let test_shared_class_remove_run_mid_document () =
   (* the satellite-2 regression: two subscribers share one class engine;
@@ -847,7 +898,7 @@ let qcheck_compaction_chaos =
       | events ->
         let naive = Query_set.run_events ~dispatch:Naive t events in
         check_outcomes "compacted = naive" naive
-          (Query_set.run_events ~compact:true t events);
+          (Query_set.run_events t events);
         check_outcomes "gated = naive" naive
           (Query_set.run_events ~gate:true t events);
         check_earliest ~partial:false
@@ -891,6 +942,8 @@ let suite =
     Alcotest.test_case "gate prefix analysis" `Quick test_gate_prefix_analysis;
     Alcotest.test_case "compaction duplicates differential" `Quick
       test_compaction_duplicates_differential;
+    Alcotest.test_case "compaction sweep differential" `Quick
+      test_compaction_sweep_differential;
     Alcotest.test_case "shared class remove_run mid-document" `Quick
       test_shared_class_remove_run_mid_document;
     Alcotest.test_case "gate differential" `Quick test_gate_differential;

@@ -150,6 +150,49 @@ let test_protocol_roundtrip () =
       | Ok _ -> Alcotest.failf "should reject: %s" bad)
     [ "nonsense"; "{}"; {|{"op":"launch"}|}; {|{"op":"subscribe","name":"x"}|} ]
 
+(* qcheck: every request survives encode, framing and decode unchanged,
+   and its line holds no newline before the terminator, whatever its
+   strings carry: quotes, backslashes, control characters, bytes from
+   0x80 up. *)
+let qcheck_protocol_roundtrip =
+  let open QCheck.Gen in
+  let hostile_char =
+    frequency
+      [ (3, printable);
+        (1, oneofl [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\000'; '\127' ]);
+        (1, map Char.chr (int_range 0 31));
+        (1, map Char.chr (int_range 0x80 0xff)) ]
+  in
+  let str = string_size ~gen:hostile_char (int_range 0 24) in
+  let request =
+    oneof
+      [ map3
+          (fun name query earliest ->
+            Protocol.Subscribe { name; query; earliest })
+          str str bool;
+        map (fun name -> Protocol.Unsubscribe { name }) str;
+        map3
+          (fun doc_id priority doc ->
+            Protocol.Publish { doc_id; priority; doc })
+          str (int_range (-1000) 1000) str;
+        map2
+          (fun interval_s count -> Protocol.Stats_stream { interval_s; count })
+          (float_range 1e-3 1e3) (opt (int_range 0 1000));
+        map2 (fun top_n by -> Protocol.Profile { top_n; by })
+          (int_range 1 1000) str;
+        map (fun max -> Protocol.Slowlog { max }) (int_range 1 1000);
+        oneofl
+          [ Protocol.Stats; Protocol.Metrics; Protocol.Report;
+            Protocol.Shutdown ] ]
+  in
+  let line r = Protocol.to_line (Protocol.request_to_json r) in
+  QCheck.Test.make ~name:"qcheck: protocol request round trip" ~count:500
+    (QCheck.make ~print:(fun r -> String.escaped (line r)) request)
+    (fun r ->
+      let l = line r in
+      String.index l '\n' = String.length l - 1
+      && Protocol.request_of_line l = Ok r)
+
 (* ------------------------------------------------------------------ *)
 (* Broker supervision (no socket)                                      *)
 (* ------------------------------------------------------------------ *)
@@ -242,6 +285,82 @@ let test_broker_report_schema () =
   match Xaos_obs.Report.validate (Xaos_obs.Report.to_json r) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "broker report invalid: %s" e
+
+(* The timing claim of earliest emission (Gienieczko et al.): with every
+   subscription in earliest mode, the median result leaves the engine
+   within 1 KiB of document bytes of the event that decided it. Deferred
+   mode holds results to the end of the document, so on the same stream
+   its median is far above the bound, which keeps the check falsifiable.
+   The engine/emission histogram counts bytes, so both medians are
+   deterministic. *)
+let test_earliest_emission_p50 () =
+  let module Histogram = Xaos_obs.Histogram in
+  let module Prng = Xaos_workloads.Prng in
+  let hist = Option.get (Histogram.find "engine/emission") in
+  let saved =
+    List.map
+      (fun h ->
+        let copy = Histogram.make (Histogram.name h) in
+        Histogram.merge ~into:copy h;
+        (h, copy))
+      (Histogram.registered ())
+  in
+  let was_enabled = Xaos_obs.Telemetry.enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (h, copy) ->
+          Histogram.reset h;
+          Histogram.merge ~into:h copy)
+        saved;
+      if not was_enabled then Xaos_obs.Telemetry.disable ())
+  @@ fun () ->
+  Xaos_obs.Telemetry.enable ();
+  let topic rng = Printf.sprintf "topic%02d" (Prng.int rng 40) in
+  let emission_p50 ~earliest =
+    Histogram.reset hist;
+    let b =
+      Broker.create ~config:{ Broker.default_config with earliest } ()
+    in
+    let sub_rng = Prng.create 911 in
+    for i = 1 to 200 do
+      let t = topic sub_rng in
+      let query =
+        match Prng.int sub_rng 3 with
+        | 0 -> Printf.sprintf "//%s/item" t
+        | 1 -> Printf.sprintf "/feed/channel/%s//name" t
+        | _ -> Printf.sprintf "//%s//name" t
+      in
+      match Broker.subscribe b ~name:(Printf.sprintf "s%d" i) ~query with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e
+    done;
+    let doc_rng = Prng.create 907 in
+    for d = 1 to 20 do
+      let topics =
+        List.init 6 (fun _ ->
+            let t = topic doc_rng in
+            Printf.sprintf "<%s>%s</%s>" t
+              (String.concat ""
+                 (List.init 60
+                    (Printf.sprintf "<item><name>n%d</name></item>")))
+              t)
+      in
+      ignore
+        (Broker.publish b ~doc_id:(string_of_int d)
+           ("<feed><channel>" ^ String.concat "" topics
+          ^ "</channel></feed>"))
+    done;
+    Alcotest.(check bool) "results were emitted" true
+      (Histogram.count hist > 0);
+    Histogram.p50 hist
+  in
+  let earliest = emission_p50 ~earliest:true in
+  let deferred = emission_p50 ~earliest:false in
+  if earliest > 1024. then
+    Alcotest.failf "earliest emission p50 %g B exceeds 1 KiB" earliest;
+  if deferred <= 1024. then
+    Alcotest.failf "deferred emission p50 %g B is within 1 KiB" deferred
 
 (* ------------------------------------------------------------------ *)
 (* Server over a real socket: framing and earliest-mode item pushes    *)
@@ -503,4 +622,7 @@ let suite =
     Alcotest.test_case "soak smoke" `Quick test_soak_smoke;
     Alcotest.test_case "soak acceptance (2000 docs, 100 subs)" `Slow
       test_soak_acceptance;
+    QCheck_alcotest.to_alcotest qcheck_protocol_roundtrip;
+    Alcotest.test_case "earliest emission p50 within 1 KiB" `Quick
+      test_earliest_emission_p50;
   ]
