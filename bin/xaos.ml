@@ -127,29 +127,26 @@ let stream_document ?series run parser =
   in
   let outcome =
     try
-      (match series with
-      | None when not tracing -> Xaos_xml.Sax.iter (Query.feed run) parser
-      | _ ->
-        let rec loop () =
-          match Xaos_xml.Sax.next parser with
-          | None -> ()
-          | Some ev ->
-            if tracing then begin
-              let p = Xaos_xml.Sax.position parser in
-              Xaos_obs.Tracer.set_position ~byte:p.Xaos_xml.Sax.offset
-                ~line:p.Xaos_xml.Sax.line
-            end;
-            Query.feed run ev;
-            incr events;
-            (match series with
-            | Some s
-              when Xaos_obs.Snapshot.due s
-                     ~bytes:(Xaos_xml.Sax.bytes_read parser) ->
-              sample s
-            | Some _ | None -> ());
-            loop ()
-        in
-        loop ());
+      let rec loop () =
+        match Xaos_xml.Sax.next parser with
+        | None -> ()
+        | Some ev ->
+          if tracing then begin
+            let p = Xaos_xml.Sax.position parser in
+            Xaos_obs.Tracer.set_position ~byte:p.Xaos_xml.Sax.offset
+              ~line:p.Xaos_xml.Sax.line
+          end;
+          Query.feed run ev;
+          incr events;
+          (match series with
+          | Some s
+            when Xaos_obs.Snapshot.due s
+                   ~bytes:(Xaos_xml.Sax.bytes_read parser) ->
+            sample s
+          | Some _ | None -> ());
+          loop ()
+      in
+      loop ();
       Complete
     with
     | Xaos_xml.Sax.Error (pos, msg) ->

@@ -9,14 +9,6 @@ module Symbol = Xaos_xml.Symbol
 module Tel = Xaos_obs.Telemetry
 module Trc = Xaos_obs.Tracer
 
-let span_start_element =
-  Tel.span ~help:"time handling element start events"
-    "xaos_engine_start_element_seconds"
-
-let span_end_element =
-  Tel.span ~help:"time handling element end events (resolution)"
-    "xaos_engine_end_element_seconds"
-
 let counter_elements =
   Tel.counter ~help:"element start events fed to engines"
     "xaos_engine_elements_total"
@@ -42,10 +34,10 @@ let gauge_retained_bytes =
     "xaos_engine_retained_bytes"
 
 let hist_lifetime =
-  Tel.histogram
+  Xaos_obs.Histogram.create ~unit_:"elements"
     ~help:"elements opened during a matching structure's lifetime, \
            recorded when the structure resolves"
-    "xaos_engine_structure_lifetime_elements"
+    "engine/structure_lifetime"
 
 (* Emission latency in document bytes: how much input streamed past
    between a result becoming decidable (its structure turning Satisfied)
@@ -813,7 +805,6 @@ let start_element t ?(attrs = []) ~sym ~level () =
       (Printf.sprintf
          "Engine.start_element: level %d does not extend current depth %d"
          level t.depth);
-  Tel.enter span_start_element;
   Tel.incr counter_elements;
   let id = t.next_id in
   t.next_id <- id + 1;
@@ -830,8 +821,7 @@ let start_element t ?(attrs = []) ~sym ~level () =
   let n = Array.length cands in
   if n = 0 then begin
     st.elements_discarded <- st.elements_discarded + 1;
-    t.frames <- { f_level = level; f_matches = [] } :: t.frames;
-    Tel.leave span_start_element
+    t.frames <- { f_level = level; f_matches = [] } :: t.frames
   end
   else begin
     let frame = ref [] in
@@ -893,7 +883,6 @@ let start_element t ?(attrs = []) ~sym ~level () =
     if live > st.live_peak then st.live_peak <- live;
     Tel.set_gauge gauge_live live;
     Tel.set_gauge gauge_retained_bytes st.retained_bytes;
-    Tel.leave span_start_element;
     if live > t.budget then
       raise (Budget_exceeded { live; budget = t.budget })
   end
@@ -953,11 +942,8 @@ let rec same_element_match frame xnode =
 
 let resolve t frame ~text (m : Matching.t) =
   (* structure lifetime in elements: how many elements started while it
-     was open; [m.item.id] is the element id at creation. The [enabled]
-     guard keeps the disabled path free of the float boxing a direct
-     [observe] call would do. *)
-  if Tel.enabled () then
-    Tel.observe_int hist_lifetime (t.next_id - m.item.id);
+     was open; [m.item.id] is the element id at creation *)
+  Xaos_obs.Histogram.record hist_lifetime (t.next_id - m.item.id);
   let v = m.xnode in
   (match t.open_stacks.(v) with
   | top :: rest when top == m ->
@@ -1037,7 +1023,6 @@ let end_element t =
   match t.frames with
   | [] -> invalid_arg "Engine.end_element: no open element"
   | { f_level = closing_level; f_matches = frame } :: rest ->
-    Tel.enter span_end_element;
     t.frames <- rest;
     (* under sparse feeding the enclosing *delivered* element need not sit
        at [closing_level - 1]; the next outer frame knows its level *)
@@ -1069,8 +1054,7 @@ let end_element t =
       List.iter (fun m -> resolve t matches ~text m) matches);
     (* verdicts only change at end events (resolution and the refutation
        cascade), so this is the only flush point needed mid-document *)
-    if t.earliest then flush_ready t;
-    Tel.leave span_end_element
+    if t.earliest then flush_ready t
 
 let feed t event =
   match event with

@@ -161,7 +161,7 @@ type outcome = {
   spent_s : float;
       (* this subscription's share of its class engine's match seconds
          (class wall-clock split evenly across the live fan-out);
-         0. while telemetry is disabled — the clock is never read then *)
+         0. in an untimed session — the clock is never read then *)
   delivered : int;
       (* events the class engine was fed (dispatch deliveries + replays) *)
   fanout : int;
@@ -208,7 +208,7 @@ type run_state = {
           reached through both its tag bucket and the wildcard bucket *)
   mutable rs_spent : float;
       (** wall-clock seconds spent in this class's engine (feed +
-          finish); accumulated only while telemetry is enabled *)
+          finish); accumulated only in a timed session *)
   mutable rs_delivered : int;
       (** events fed to this engine — one int increment per delivery, so
           it is counted even while telemetry is off *)
@@ -257,6 +257,9 @@ type session = {
       (** the shared-prefix walk; dropped once nothing is dormant *)
   mutable dispatched : int;
   mutable suppressed : int;
+  timed : bool;
+      (** {!Xaos_obs.Telemetry.enabled} at session start: per-class match
+          seconds are measured only then *)
   mutable current_byte : int;
       (** stream byte offset pushed in by the driver via
           {!set_stream_byte}; [-1] = no driver pushes it. Forwarded to a
@@ -324,25 +327,17 @@ let feed_run s rs ev =
     if not rs.rs_aborted then begin
       rs.rs_delivered <- rs.rs_delivered + 1;
       if s.current_byte >= 0 then Query.set_stream_byte run s.current_byte;
-      if Xaos_obs.Telemetry.enabled () then begin
-        (* per-class match time; the clock is only read (and the float
-           only boxed) on the telemetry-enabled path *)
-        let t0 = Xaos_obs.Telemetry.now () in
-        (try Query.feed run ev with
-        | Engine.Budget_exceeded _ -> abort_run s rs
-        | exn ->
-          rs.rs_error <- Some (Printexc.to_string exn);
-          Xaos_obs.Telemetry.incr counter_run_faults;
-          abort_run s rs);
+      (* per-class match time; the clock is only read (and the float
+         only boxed) while the session is timed *)
+      let t0 = if s.timed then Xaos_obs.Telemetry.now () else 0. in
+      (try Query.feed run ev with
+      | Engine.Budget_exceeded _ -> abort_run s rs
+      | exn ->
+        rs.rs_error <- Some (Printexc.to_string exn);
+        Xaos_obs.Telemetry.incr counter_run_faults;
+        abort_run s rs);
+      if s.timed then
         rs.rs_spent <- rs.rs_spent +. (Xaos_obs.Telemetry.now () -. t0)
-      end
-      else
-        try Query.feed run ev with
-        | Engine.Budget_exceeded _ -> abort_run s rs
-        | exn ->
-          rs.rs_error <- Some (Printexc.to_string exn);
-          Xaos_obs.Telemetry.incr counter_run_faults;
-          abort_run s rs
     end
 
 (* After a delivered element event, the run's text interest may have
@@ -476,6 +471,7 @@ let start ?budget ?(dispatch = Shared) ?(gate = false) ?on_item t =
       gate_run = None;
       dispatched = 0;
       suppressed = 0;
+      timed = Xaos_obs.Telemetry.enabled ();
       current_byte = -1;
       on_item;
     }
@@ -653,8 +649,8 @@ let feed s ev =
 
 (* End-of-document resolution counts toward the class's match time too:
    deferred emission does its output traversal in [Query.finish]. *)
-let timed_finish rs f =
-  if Xaos_obs.Telemetry.enabled () then begin
+let timed_finish s rs f =
+  if s.timed then begin
     let t0 = Xaos_obs.Telemetry.now () in
     let result = f () in
     rs.rs_spent <- rs.rs_spent +. (Xaos_obs.Telemetry.now () -. t0);
@@ -670,7 +666,7 @@ let finish_class s ~partial rs =
   | Some r -> r
   | None ->
     let r =
-      timed_finish rs @@ fun () ->
+      timed_finish s rs @@ fun () ->
       match rs.rs_run with
       | None -> Result_set.empty
       | Some run ->

@@ -91,9 +91,9 @@ type outcome = {
           summing [spent_s] over all outcomes still equals the physical
           seconds the pipeline spent — the conservation invariant cost
           attribution relies on. [fanout = 1] (no sharing) makes this
-          the plain per-subscription match time. Always [0.] while
-          telemetry is disabled: the clock is never read on the
-          disabled path. *)
+          the plain per-subscription match time. Always [0.] when
+          telemetry was disabled at {!start}: the session reads the
+          flag once and never reads the clock when it is off. *)
   delivered : int;
       (** events this outcome's class engine was fed: dispatch
           deliveries plus ancestor replays for mid-stream registration.

@@ -13,6 +13,11 @@
     the per-outcome account lookups when {!enabled} is true, so the
     disabled service pipeline pays nothing.
 
+    Attribution does not read the clock itself: the match seconds it is
+    charged are measured only while {!Telemetry.enabled} holds, and are
+    zero otherwise. The service server turns telemetry on whenever
+    attribution is enabled.
+
     Charging is done from the broker's single evaluator thread without a
     lock (mutable word-sized fields cannot tear); the registry mutex
     guards only find-or-create and listing. Readers may observe a

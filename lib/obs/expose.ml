@@ -65,6 +65,8 @@ let metric_name (h : Histogram.t) =
 
 let add_histogram buf h =
   let name = metric_name h in
+  if Histogram.help h <> "" then
+    Buffer.add_string buf ("# HELP " ^ name ^ " " ^ Histogram.help h ^ "\n");
   Buffer.add_string buf ("# TYPE " ^ name ^ " histogram\n");
   let s = Histogram.summary h in
   List.iter

@@ -7,10 +7,9 @@
    kept or dropped at [finish]: every [sample_every]-th document is
    kept, and every slow or faulted one regardless of sampling.
 
-   Kept recordings are exported in the Chrome trace-event format the
-   repo's Tracer already writes — `{"displayTimeUnit": "ms",
-   "traceEvents": [...]}` with complete ("X") events — so a flight file
-   loads in Perfetto next to an engine trace. Track 0 carries the
+   Kept recordings are exported through the Chrome trace-event writer
+   the engine Tracer also uses, as complete ("X") events, so a flight
+   file loads in Perfetto next to an engine trace. Track 0 carries the
    document root plus the sequential pipeline stages; track 1 carries
    the per-subscription match spans. Pipeline-stage spans use measured
    stage durations laid against the document's wall clock: parse and
@@ -129,8 +128,6 @@ let keep fl =
 (* Export                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let micros s = Json.Float (s *. 1e6)
-
 let to_chrome fl =
   let spans = locked fl.fl_mu (fun () -> List.rev fl.fl_spans) in
   (* Shift everything so the earliest span starts at ts 0 — ingress
@@ -146,43 +143,22 @@ let to_chrome fl =
       fl.fl_started spans
   in
   let event s =
-    Json.Obj
-      ([
-         ("name", Json.String s.sp_name);
-         ("cat", Json.String s.sp_cat);
-         ("ph", Json.String "X");
-         ("ts", micros (s.sp_start_s -. t0));
-         ("dur", micros s.sp_dur_s);
-         ("pid", Json.Int fl.fl_tick);
-         ("tid", Json.Int s.sp_track);
-       ]
-      @ match s.sp_args with [] -> [] | args -> [ ("args", Json.Obj args) ])
+    Chrome.complete ~name:s.sp_name ~cat:s.sp_cat ~ts:(s.sp_start_s -. t0)
+      ~dur:s.sp_dur_s ~pid:fl.fl_tick ~tid:s.sp_track ~args:s.sp_args ()
   in
   let root =
-    Json.Obj
-      [
-        ("name", Json.String ("doc " ^ fl.fl_doc_id));
-        ("cat", Json.String "doc");
-        ("ph", Json.String "X");
-        ("ts", micros 0.);
-        ("dur", micros (t_end -. t0));
-        ("pid", Json.Int fl.fl_tick);
-        ("tid", Json.Int 0);
-        ( "args",
-          Json.Obj
-            [
-              ("doc_id", Json.String fl.fl_doc_id);
-              ("tick", Json.Int fl.fl_tick);
-              ("slow", Json.Bool fl.fl_slow);
-              ("faulted", Json.Bool fl.fl_faulted);
-            ] );
-      ]
+    Chrome.complete ~name:("doc " ^ fl.fl_doc_id) ~cat:"doc" ~ts:0.
+      ~dur:(t_end -. t0) ~pid:fl.fl_tick ~tid:0
+      ~args:
+        [
+          ("doc_id", Json.String fl.fl_doc_id);
+          ("tick", Json.Int fl.fl_tick);
+          ("slow", Json.Bool fl.fl_slow);
+          ("faulted", Json.Bool fl.fl_faulted);
+        ]
+      ()
   in
-  Json.Obj
-    [
-      ("displayTimeUnit", Json.String "ms");
-      ("traceEvents", Json.List (root :: List.map event spans));
-    ]
+  Chrome.document (root :: List.map event spans)
 
 let safe_name id =
   String.map
@@ -212,12 +188,7 @@ let write_file fl =
           (Printf.sprintf "flight-%06d-%s.json" fl.fl_tick
              (safe_name fl.fl_doc_id))
       in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc (Json.to_string (to_chrome fl));
-          output_char oc '\n');
+      Chrome.write path (to_chrome fl);
       Some path
     end
 

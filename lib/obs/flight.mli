@@ -3,8 +3,8 @@
     A recording captures one document's causal span tree across the six
     service pipeline stages — ingress → parse → dispatch →
     per-subscription match → emission → writer — and exports it in the
-    same Chrome trace-event JSON the engine {!Tracer} writes, so flight
-    files load directly in Perfetto.
+    Chrome trace-event JSON through the {!Chrome} writer the engine
+    {!Tracer} also uses, so flight files load directly in Perfetto.
 
     Sampling contract: the caller starts a recording for every document
     while the recorder is {!active}; {!finish} keeps it only when the
@@ -18,7 +18,10 @@
     spans. Stage spans carry measured durations laid against the
     document's wall clock — an attribution of time to stages, not an
     exact interleaving (the evaluator alternates stages at parse-chunk
-    granularity). *)
+    granularity). Those durations are measured only while
+    {!Telemetry.enabled} holds; without it the broker's spans have
+    zero duration and no per-subscription spans are added. The service
+    server turns telemetry on whenever the recorder is {!active}. *)
 
 type t
 (** One in-progress recording. Mutation is mutex-guarded: the evaluator

@@ -120,6 +120,8 @@ let count h = h.count
 
 let name h = h.name
 
+let help h = h.help
+
 let unit_of h = h.unit_
 
 (* Smallest bucket upper bound whose cumulative count reaches

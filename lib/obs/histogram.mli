@@ -65,6 +65,8 @@ val count : t -> int
 
 val name : t -> string
 
+val help : t -> string
+
 val unit_of : t -> string
 
 val quantile : t -> float -> float

@@ -30,18 +30,6 @@ type gauge = {
   mutable g_max : float;
 }
 
-let bucket_count = 22 (* upper bounds 2^0 .. 2^20, then +inf *)
-
-type histogram = {
-  h_name : string;
-  h_help : string;
-  mutable hc_count : int;
-  mutable hc_sum : float;
-  mutable hc_min : float;
-  mutable hc_max : float;
-  hc_buckets : int array;  (* non-cumulative; cumulated on drain *)
-}
-
 type span = {
   sp_name : string;
   sp_help : string;
@@ -55,7 +43,6 @@ type span = {
 type metric =
   | Counter of counter
   | Gauge of gauge
-  | Histogram of histogram
   | Span of span
 
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
@@ -116,67 +103,6 @@ let gauge_value g = int_of_float g.g_value
 let gauge_max g = int_of_float g.g_max
 
 let gauge_value_float g = g.g_value
-
-(* ------------------------------------------------------------------ *)
-(* Histograms                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let histogram ?(help = "") name =
-  find_or_register name
-    (fun () ->
-      Histogram
-        {
-          h_name = name;
-          h_help = help;
-          hc_count = 0;
-          hc_sum = 0.;
-          hc_min = infinity;
-          hc_max = neg_infinity;
-          hc_buckets = Array.make bucket_count 0;
-        })
-    (function Histogram h -> Some h | _ -> None)
-
-let bucket_bound i =
-  if i >= bucket_count - 1 then infinity else Float.of_int (1 lsl i)
-
-let bucket_index x =
-  let rec loop i = if i >= bucket_count - 1 || x <= bucket_bound i then i else loop (i + 1) in
-  loop 0
-
-let observe h x =
-  if !on then begin
-    h.hc_count <- h.hc_count + 1;
-    h.hc_sum <- h.hc_sum +. x;
-    if x < h.hc_min then h.hc_min <- x;
-    if x > h.hc_max then h.hc_max <- x;
-    let i = bucket_index x in
-    h.hc_buckets.(i) <- h.hc_buckets.(i) + 1
-  end
-
-let observe_int h n = observe h (float_of_int n)
-
-type histogram_summary = {
-  h_count : int;
-  h_sum : float;
-  h_min : float;
-  h_max : float;
-  h_buckets : (float * int) list;
-}
-
-let histogram_summary h =
-  let cumulative = ref 0 in
-  let buckets =
-    List.init bucket_count (fun i ->
-        cumulative := !cumulative + h.hc_buckets.(i);
-        (bucket_bound i, !cumulative))
-  in
-  {
-    h_count = h.hc_count;
-    h_sum = h.hc_sum;
-    h_min = (if h.hc_count = 0 then 0. else h.hc_min);
-    h_max = (if h.hc_count = 0 then 0. else h.hc_max);
-    h_buckets = buckets;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -248,12 +174,6 @@ let reset () =
       | Gauge g ->
         g.g_value <- 0.;
         g.g_max <- 0.
-      | Histogram h ->
-        h.hc_count <- 0;
-        h.hc_sum <- 0.;
-        h.hc_min <- infinity;
-        h.hc_max <- neg_infinity;
-        Array.fill h.hc_buckets 0 bucket_count 0
       | Span s ->
         s.sp_count <- 0;
         s.sp_total <- 0.;
@@ -346,21 +266,6 @@ let expose buf =
         preamble buf n g.g_help "gauge";
         sample buf n (fnum g.g_value);
         sample buf (n ^ "_max") (fnum g.g_max)
-      | Histogram h ->
-        let n = prom_name h.h_name in
-        preamble buf n h.h_help "histogram";
-        let s = histogram_summary h in
-        List.iter
-          (fun (bound, cumulative) ->
-            let le =
-              if bound = infinity then "+Inf" else fnum bound
-            in
-            sample buf
-              (Printf.sprintf "%s_bucket{le=\"%s\"}" n le)
-              (string_of_int cumulative))
-          s.h_buckets;
-        sample buf (n ^ "_sum") (fnum s.h_sum);
-        sample buf (n ^ "_count") (string_of_int s.h_count)
       | Span s ->
         let n = prom_name s.sp_name in
         preamble buf n s.sp_help "summary";

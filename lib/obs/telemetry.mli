@@ -1,5 +1,6 @@
-(** Zero-cost-when-disabled instrumentation: counters, gauges, histograms
-    and wall-clock spans behind a process-global sink.
+(** Zero-cost-when-disabled instrumentation: counters, gauges and
+    wall-clock spans behind a process-global sink. Distributions live in
+    {!Histogram}, which records behind the same flag.
 
     The design splits the classic sink interface in two:
 
@@ -29,6 +30,11 @@ val disable : unit -> unit
     are kept (drain them before {!reset}). *)
 
 val enabled : unit -> bool
+(** The one switch for timing: instrumented code reads {!now} only while
+    this holds, and every measured-seconds consumer ({!Histogram},
+    {!Attrib} charges, the broker's slow log, {!Flight} spans) reads
+    what that code measured. Code that times a loop reads it once per
+    document, so the untimed path never touches the clock. *)
 
 val reset : unit -> unit
 (** Zero every registered metric (and abandon any open span). *)
@@ -75,28 +81,6 @@ val gauge_max : gauge -> int
 
 val gauge_value_float : gauge -> float
 
-(** {1 Histograms} *)
-
-type histogram
-
-val histogram : ?help:string -> string -> histogram
-(** Fixed exponential buckets: upper bounds 1, 2, 4, … 2{^20}, +inf. *)
-
-val observe : histogram -> float -> unit
-
-val observe_int : histogram -> int -> unit
-
-type histogram_summary = {
-  h_count : int;
-  h_sum : float;
-  h_min : float;  (** 0 when empty *)
-  h_max : float;
-  h_buckets : (float * int) list;
-      (** (upper bound, cumulative count); last bound is [infinity] *)
-}
-
-val histogram_summary : histogram -> histogram_summary
-
 (** {1 Spans}
 
     A span accumulates wall-clock durations of a named phase:
@@ -139,9 +123,8 @@ val span_summaries : unit -> span_summary list
 
 val expose : Buffer.t -> unit
 (** Prometheus text exposition of the whole registry: [# HELP]/[# TYPE]
-    preambles, counters and gauges as single samples, histograms with
-    cumulative [_bucket{le="…"}] samples, spans as [summary] with
-    [_count]/[_sum]. *)
+    preambles, counters and gauges as single samples, spans as
+    [summary] with [_count]/[_sum]. *)
 
 (** {1 GC probes} *)
 

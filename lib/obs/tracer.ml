@@ -372,33 +372,15 @@ let to_chrome () =
   (* one X (complete) event covering the whole recorded window, so the
      trace always has a top-level duration row *)
   let whole =
-    Json.Obj
-      [
-        ("name", Json.String "xaos trace");
-        ("cat", Json.String "trace");
-        ("ph", Json.String "X");
-        ("ts", Json.Float 0.);
-        ("dur", Json.Float (us span_end));
-        ("pid", Json.Int 1);
-        ("tid", Json.Int 1);
-        ( "args",
-          Json.Obj
-            [
-              ("recorded", Json.Int (recorded ()));
-              ("dropped", Json.Int (dropped ()));
-            ] );
-      ]
+    Chrome.complete ~name:"xaos trace" ~cat:"trace" ~ts:0. ~dur:span_end
+      ~pid:1 ~tid:1
+      ~args:
+        [
+          ("recorded", Json.Int (recorded ()));
+          ("dropped", Json.Int (dropped ()));
+        ]
+      ()
   in
-  Json.Obj
-    [
-      ("displayTimeUnit", Json.String "ms");
-      ("traceEvents", Json.List (whole :: List.map event_to_chrome evs));
-    ]
+  Chrome.document (whole :: List.map event_to_chrome evs)
 
-let write_chrome path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Json.to_string (to_chrome ()));
-      output_char oc '\n')
+let write_chrome path = Chrome.write path (to_chrome ())

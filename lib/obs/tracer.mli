@@ -152,7 +152,9 @@ val undos_survived : serial:int -> int
     to [e] (async end) — all on the structure's async id track — and
     emissions to [i] (instant). Timestamps are microseconds since
     {!enable}; [args] carry the causal id, parent cause, x-node, element
-    id, and byte/line position of every event. *)
+    id, and byte/line position of every event. The document wrapper, the
+    [X] event and the file write come from {!Chrome}, shared with
+    {!Flight}. *)
 
 val to_chrome : unit -> Json.t
 

@@ -281,51 +281,35 @@ let publish ?on_item ?flight t ~doc_id doc =
       doc
   in
   let parse_s = ref 0. and dispatch_s = ref 0. in
+  (* one loop; while timed it splits time between the parser pull and
+     the dispatch/match step, and keeps the session's byte offset
+     current so results are stamped for emission latency. [timed] is
+     read once per document, so the untimed path never reads the clock. *)
+  let timed = Telemetry.enabled () in
   (try
-     if Telemetry.enabled () then begin
-       (* instrumented loop: split time between the parser pull and the
-          dispatch/match step, and keep the session's byte offset
-          current so results are stamped for emission latency. Separate
-          from the plain loop so the telemetry-off path never reads the
-          clock. *)
-       let rec loop () =
-         let t0 = Telemetry.now () in
-         let pulled = Sax.next parser in
-         parse_s := !parse_s +. (Telemetry.now () -. t0);
-         match pulled with
-         | None -> ()
-         | Some ev ->
-           incr events;
+     let rec loop () =
+       let t0 = if timed then Telemetry.now () else 0. in
+       let pulled = Sax.next parser in
+       if timed then parse_s := !parse_s +. (Telemetry.now () -. t0);
+       match pulled with
+       | None -> ()
+       | Some ev ->
+         incr events;
+         if timed then begin
            Query_set.set_stream_byte session (Sax.bytes_read parser);
            let t1 = Telemetry.now () in
            Query_set.feed session ev;
-           dispatch_s := !dispatch_s +. (Telemetry.now () -. t1);
-           (match t.config.deadline_s with
-           | Some d
-             when !events land 63 = 0
-                  && Unix.gettimeofday () -. started > d ->
-             deadline_hit := true
-           | _ -> ());
-           if not !deadline_hit then loop ()
-       in
-       loop ()
-     end
-     else
-       let rec loop () =
-         match Sax.next parser with
-         | None -> ()
-         | Some ev ->
-           incr events;
-           Query_set.feed session ev;
-           (match t.config.deadline_s with
-           | Some d
-             when !events land 63 = 0
-                  && Unix.gettimeofday () -. started > d ->
-             deadline_hit := true
-           | _ -> ());
-           if not !deadline_hit then loop ()
-       in
-       loop ()
+           dispatch_s := !dispatch_s +. (Telemetry.now () -. t1)
+         end
+         else Query_set.feed session ev;
+         (match t.config.deadline_s with
+         | Some d
+           when !events land 63 = 0 && Unix.gettimeofday () -. started > d ->
+           deadline_hit := true
+         | _ -> ());
+         if not !deadline_hit then loop ()
+     in
+     loop ()
    with Sax.Limit_exceeded (_, kind, _) ->
      limit_hit := Some (Sax.limit_kind_name kind));
   let doc_died = !deadline_hit || !limit_hit <> None in
@@ -341,13 +325,13 @@ let publish ?on_item ?flight t ~doc_id doc =
       ~detail:[ ("tick", Json.Int t.tick); ("events", Json.Int !events) ]
       doc_id
   | None -> ());
-  let fin_t0 = match flight with Some _ -> Telemetry.now () | None -> 0. in
+  let fin_t0 = if timed then Telemetry.now () else started in
   let outcomes =
     if doc_died then Query_set.finish_partial session
     else Query_set.finish session
   in
-  let fin_t1 = match flight with Some _ -> Telemetry.now () | None -> 0. in
-  if Telemetry.enabled () then begin
+  let fin_t1 = if timed then Telemetry.now () else started in
+  if timed then begin
     Histogram.record_seconds hist_parse !parse_s;
     Histogram.record_seconds hist_dispatch !dispatch_s;
     List.iter

@@ -135,7 +135,13 @@ val publish :
     the parse/dispatch/emission stage spans plus the per-subscription
     match spans and marks the recording slow/faulted as appropriate.
     The caller finishes the recording (the server does it from the
-    writer thread so the [writer] span is included). *)
+    writer thread so the [writer] span is included).
+
+    Seconds are measured only while telemetry is enabled, read once per
+    document: otherwise the match seconds charged to {!Xaos_obs.Attrib},
+    the per-subscription breakdown of the slow log and the flight
+    spans' durations are all zero, and the clock is never read inside
+    the event loop. {!Server.start} turns telemetry on for them. *)
 
 (** {1 Observability} *)
 
@@ -161,7 +167,8 @@ type slow_doc = {
   sd_deadline : bool;
   sd_limit : string option;
   sd_top : (string * float) list;
-      (** per-subscription breakdown: (name, match seconds), descending *)
+      (** per-subscription breakdown: (name, match seconds), descending;
+          the seconds are zero unless telemetry was on *)
 }
 (** One slow-document record. *)
 

@@ -52,66 +52,65 @@ let str_field name j =
     | None -> Error (Printf.sprintf "field %S must be a string" name))
   | None -> Error (Printf.sprintf "missing field %S" name)
 
+(* An absent optional field takes its default; a present one of the
+   wrong type is an error, never silently the default. *)
+let opt_field name ~kind conv ~default j =
+  match Json.member name j with
+  | None -> Ok default
+  | Some v -> (
+    match conv v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "field %S must be %s" name kind))
+
+let int_field name ~default j =
+  opt_field name ~kind:"an integer" Json.to_int ~default j
+
+let positive name = Error (Printf.sprintf "field %S must be positive" name)
+
 let request_of_json j =
+  let ( let* ) = Result.bind in
   match Json.member "op" j with
   | None -> Error "missing field \"op\""
   | Some op -> (
     match Json.to_str op with
     | None -> Error "field \"op\" must be a string"
-    | Some "subscribe" -> (
-      Result.bind (str_field "name" j) @@ fun name ->
-      Result.bind (str_field "query" j) @@ fun query ->
-      match Json.member "earliest" j with
-      | None -> Ok (Subscribe { name; query; earliest = false })
-      | Some (Json.Bool earliest) -> Ok (Subscribe { name; query; earliest })
-      | Some _ -> Error "field \"earliest\" must be a boolean")
-    | Some "unsubscribe" ->
-      Result.bind (str_field "name" j) @@ fun name -> Ok (Unsubscribe { name })
-    | Some "publish" ->
-      Result.bind (str_field "id" j) @@ fun doc_id ->
-      Result.bind (str_field "doc" j) @@ fun doc ->
-      let priority =
-        match Json.member "priority" j with
-        | Some p -> Option.value ~default:0 (Json.to_int p)
-        | None -> 0
+    | Some "subscribe" ->
+      let* name = str_field "name" j in
+      let* query = str_field "query" j in
+      let* earliest =
+        opt_field "earliest" ~kind:"a boolean"
+          (function Json.Bool b -> Some b | _ -> None)
+          ~default:false j
       in
+      Ok (Subscribe { name; query; earliest })
+    | Some "unsubscribe" ->
+      let* name = str_field "name" j in
+      Ok (Unsubscribe { name })
+    | Some "publish" ->
+      let* doc_id = str_field "id" j in
+      let* doc = str_field "doc" j in
+      let* priority = int_field "priority" ~default:0 j in
       Ok (Publish { doc_id; priority; doc })
     | Some "stats" -> Ok Stats
     | Some "stats-stream" ->
-      let interval_s =
-        match Json.member "interval_s" j with
-        | Some v -> Option.value ~default:1.0 (Json.to_float v)
-        | None -> 1.0
+      let* interval_s =
+        opt_field "interval_s" ~kind:"a number" Json.to_float ~default:1.0 j
       in
-      let count =
-        match Json.member "count" j with
-        | Some v -> Json.to_int v
-        | None -> None
+      let* count =
+        opt_field "count" ~kind:"an integer"
+          (fun v -> Option.map Option.some (Json.to_int v))
+          ~default:None j
       in
-      if interval_s <= 0. then Error "field \"interval_s\" must be positive"
+      if interval_s <= 0. then positive "interval_s"
       else Ok (Stats_stream { interval_s; count })
     | Some "metrics" -> Ok Metrics
     | Some "profile" ->
-      let top_n =
-        match Json.member "n" j with
-        | Some v -> Option.value ~default:10 (Json.to_int v)
-        | None -> 10
-      in
-      let by =
-        match Option.bind (Json.member "by" j) Json.to_str with
-        | Some s -> s
-        | None -> "match_s"
-      in
-      if top_n <= 0 then Error "field \"n\" must be positive"
-      else Ok (Profile { top_n; by })
+      let* top_n = int_field "n" ~default:10 j in
+      let* by = opt_field "by" ~kind:"a string" Json.to_str ~default:"match_s" j in
+      if top_n <= 0 then positive "n" else Ok (Profile { top_n; by })
     | Some "slowlog" ->
-      let max =
-        match Json.member "max" j with
-        | Some v -> Option.value ~default:20 (Json.to_int v)
-        | None -> 20
-      in
-      if max <= 0 then Error "field \"max\" must be positive"
-      else Ok (Slowlog { max })
+      let* max = int_field "max" ~default:20 j in
+      if max <= 0 then positive "max" else Ok (Slowlog { max })
     | Some "report" -> Ok Report
     | Some "shutdown" -> Ok Shutdown
     | Some other -> Error (Printf.sprintf "unknown op %S" other))

@@ -64,6 +64,9 @@ type request =
 val request_to_json : request -> Xaos_obs.Json.t
 
 val request_of_json : Xaos_obs.Json.t -> (request, string) result
+(** An absent optional field takes its wire default; a present one of
+    the wrong type ([priority], [interval_s], [count], [n], [by], [max],
+    [earliest]) is an [Error] naming the field. *)
 
 val request_of_line : string -> (request, string) result
 (** Parse one line (without the trailing newline). *)

@@ -69,6 +69,7 @@ type t = {
   mutable crashes : int;
   mutable dropped : int;  (** responses dropped on full client queues *)
   mutable conn_total : int;
+  owns_telemetry : bool;  (** [start] turned telemetry on; [stop] turns it off *)
 }
 
 let counter_shed = Telemetry.counter "xaos_service_shed_total"
@@ -110,17 +111,29 @@ let guarded t f () =
 
 let fire_notify = function Some f -> (try f () with _ -> ()) | None -> ()
 
-let enqueue ?notify t c line =
-  let stamp = if Telemetry.enabled () then Telemetry.now () else 0. in
+(* [enqueue_after ?notify t c f] runs [f] under [c]'s out-queue lock and
+   queues the line it returns, if any, before releasing the lock: a
+   line queued by another thread in reaction to whatever [f] hands over
+   cannot overtake it on the wire. [f] must not take [c.out_mu] itself. *)
+let enqueue_after ?notify t c f =
   Mutex.lock c.out_mu;
+  let line, result =
+    match f () with
+    | r -> r
+    | exception e ->
+      Mutex.unlock c.out_mu;
+      raise e
+  in
   let dropped =
-    if c.out_closed then true
-    else if Queue.length c.out >= t.config.out_queue then true
-    else begin
+    match line with
+    | None -> false
+    | Some _ when c.out_closed || Queue.length c.out >= t.config.out_queue ->
+      true
+    | Some line ->
+      let stamp = if Telemetry.enabled () then Telemetry.now () else 0. in
       Queue.push { ol_line = line; ol_stamp = stamp; ol_notify = notify } c.out;
       Condition.signal c.out_cond;
       false
-    end
   in
   let was_closed = c.out_closed in
   Mutex.unlock c.out_mu;
@@ -133,7 +146,10 @@ let enqueue ?notify t c line =
         ~reason:Eventlog.Out_queue_full
         ("client-" ^ string_of_int c.cid)
     end
-  end
+  end;
+  result
+
+let enqueue ?notify t c line = enqueue_after ?notify t c (fun () -> (Some line, ()))
 
 let send ?notify t c json = enqueue ?notify t c (Protocol.to_line json)
 
@@ -260,19 +276,27 @@ let rec handle_request t c req =
       send t c (Protocol.ok ~op:"unsubscribe" [ ("name", Json.String name) ])
     else send t c (Protocol.error ~op:"unsubscribe" ("unknown: " ^ name))
   | Protocol.Publish { doc_id; priority; doc } -> (
+    let ack =
+      Protocol.to_line
+        (Protocol.ok ~op:"publish"
+           [ ("id", Json.String doc_id); ("queued", Json.Bool true) ])
+    in
+    (* the acknowledgement is queued before the evaluator can see the
+       document, so this document's [processed] event queues behind it *)
     let verdict =
-      Ingress.offer t.ingress ~priority
-        { p_doc_id = doc_id; p_doc = doc; p_client = c;
-          p_enqueued_at =
-            (if Telemetry.enabled () || Flight.active () then Telemetry.now ()
-             else 0.) }
+      enqueue_after t c @@ fun () ->
+      let verdict =
+        Ingress.offer t.ingress ~priority
+          { p_doc_id = doc_id; p_doc = doc; p_client = c;
+            p_enqueued_at =
+              (if Telemetry.enabled () then Telemetry.now () else 0.) }
+      in
+      ((match verdict with Ingress.Shed_incoming -> None | _ -> Some ack),
+       verdict)
     in
     Telemetry.set_gauge gauge_queue (Ingress.length t.ingress);
     match verdict with
-    | Ingress.Accepted ->
-      send t c
-        (Protocol.ok ~op:"publish"
-           [ ("id", Json.String doc_id); ("queued", Json.Bool true) ])
+    | Ingress.Accepted -> ()
     | Ingress.Shed_incoming ->
       Telemetry.incr counter_shed;
       Eventlog.record ~level:Eventlog.Warn ~kind:"shed"
@@ -286,9 +310,6 @@ let rec handle_request t c req =
         ~reason:Eventlog.Displaced
         ~detail:[ ("by", Json.String doc_id) ]
         victim.p_doc_id;
-      send t c
-        (Protocol.ok ~op:"publish"
-           [ ("id", Json.String doc_id); ("queued", Json.Bool true) ]);
       send t victim.p_client
         (Protocol.overload ~doc_id:victim.p_doc_id ~shed:(`Displaced doc_id)))
   | Protocol.Stats ->
@@ -458,7 +479,7 @@ and reader_loop t c () =
 
 and process_pending t p =
   Telemetry.set_gauge gauge_queue (Ingress.length t.ingress);
-  let pickup = Telemetry.now () in
+  let pickup = if p.p_enqueued_at > 0. then Telemetry.now () else 0. in
   if p.p_enqueued_at > 0. then
     Histogram.record_seconds hist_ingress_wait (pickup -. p.p_enqueued_at);
   (* flight recording: started for every document while the recorder is
@@ -626,6 +647,7 @@ and stop t =
     let clients = with_lock t (fun () -> t.clients) in
     List.iter (close_client t) clients;
     (try Unix.unlink t.config.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
+    if t.owns_telemetry then Telemetry.disable ();
     with_lock t @@ fun () ->
     t.stopped <- true;
     Condition.broadcast t.finished
@@ -643,6 +665,13 @@ let start config =
    with e ->
      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
      raise e);
+  (* attribution, flight spans and the slow log all read seconds that
+     are measured only while telemetry is on *)
+  let owns_telemetry =
+    (not (Telemetry.enabled ()))
+    && (Attrib.enabled () || Flight.active () || config.broker.Broker.slow_ms <> None)
+  in
+  if owns_telemetry then Telemetry.enable ();
   let t =
     { config; brk = Broker.create ~config:config.broker ();
       ingress =
@@ -651,7 +680,7 @@ let start config =
       listen_fd; mu = Mutex.create (); finished = Condition.create ();
       clients = []; owners = Hashtbl.create 64; next_cid = 0;
       stopping = false; stopped = false; acceptor = None; evaluator = None;
-      crashes = 0; dropped = 0; conn_total = 0 }
+      crashes = 0; dropped = 0; conn_total = 0; owns_telemetry }
   in
   t.acceptor <- Some (Thread.create (guarded t (accept_loop t)) ());
   t.evaluator <- Some (Thread.create (guarded t (evaluator_loop t)) ());

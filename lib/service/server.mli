@@ -8,7 +8,10 @@
       hostile client cannot block admission of new connections;
     - one {e reader} thread per connection — parses requests; [publish]
       is an {!Ingress.offer} (non-blocking, verdict returned
-      immediately), subscription/stats ops take the broker lock briefly;
+      immediately) whose acknowledgement is queued before the evaluator
+      can take the document, so it always precedes that document's
+      [processed] event; subscription/stats ops take the broker lock
+      briefly;
     - one {e evaluator} thread — drains the ingress queue in priority
       order and runs {!Broker.publish}; this is the only thread that
       evaluates documents, so per-document latency is the queue delay
@@ -46,7 +49,10 @@ type t
 
 val start : config -> t
 (** Bind (replacing a stale socket file), spawn the accept and evaluator
-    threads, return immediately.
+    threads, return immediately. Turns {!Xaos_obs.Telemetry} on when
+    attribution, flight recording or the slow log is configured (they
+    read seconds measured only while it is on); {!stop} turns it off
+    again if [start] turned it on.
     @raise Unix.Unix_error when the socket cannot be bound. *)
 
 val broker : t -> Broker.t

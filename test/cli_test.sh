@@ -5,7 +5,9 @@ set -eu
 
 XAOS="$1"
 WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
+# a failed assertion must not leave a background server holding the
+# output pipe open
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 fail() { echo "cli_test: $*" >&2; exit 1; }
 
@@ -278,6 +280,41 @@ OUT=$(grep -c '"stats"' "$WORK/serve_metrics.ndjson")
 [ "$OUT" -ge 2 ] || fail "serve --metrics sampled $OUT snapshots, wanted >= 2"
 grep -q '^# TYPE xaos_service_docs_total counter' "$WORK/serve_metrics.ndjson" \
   || fail "serve --metrics misses the final exposition"
+
+# --- timed consumers without --metrics: the server turns telemetry on -------
+# attribution, the slow log and flight spans all read seconds measured only
+# while telemetry is on; none of them may report zero time for real work
+SOCK2="$WORK/service2.sock"
+printf '//listitem//keyword\n//item[ancestor::europe]//name\n//person/name\n' \
+  > "$WORK/service2_subs.txt"
+"$XAOS" serve --socket "$SOCK2" --subscriptions "$WORK/service2_subs.txt" \
+  --attrib --slow-ms 0 --flight-sample 1 --flight-dir "$WORK/flights2" \
+  2> "$WORK/serve2.log" &
+SERVE2_PID=$!
+for _ in $(seq 1 50); do [ -S "$SOCK2" ] && break; sleep 0.1; done
+[ -S "$SOCK2" ] || fail "second service socket never appeared"
+"$XAOS" publish --socket "$SOCK2" "$WORK/xm.xml" | grep -q '"event":"processed"' \
+  || fail "second server processed no document"
+OUT=$("$XAOS" profile --socket "$SOCK2")
+echo "$OUT" | grep -Eq ' match [0-9.]*[1-9][0-9.]* ms' \
+  || fail "profile without --metrics charged no match time: $OUT"
+OUT=$("$XAOS" slowlog --socket "$SOCK2" --json \
+  | grep -oE '"match_s":[0-9.eE+-]+' | awk -F: '$2 + 0 > 0 { n++ } END { print n + 0 }')
+[ "$OUT" -ge 1 ] || fail "slowlog without --metrics has no non-zero match_s"
+FLIGHT2=""
+for _ in $(seq 1 50); do
+  FLIGHT2=$(ls "$WORK/flights2"/flight-*.json 2>/dev/null | head -1 || true)
+  [ -n "$FLIGHT2" ] && break
+  sleep 0.1
+done
+[ -n "$FLIGHT2" ] || fail "no flight recording written without --metrics"
+DUR=$(tr -d ' \n' < "$FLIGHT2" \
+  | grep -oE '"name":"parse","cat":"pipeline","ph":"X","ts":[0-9.eE+-]+,"dur":[0-9.eE+-]+' \
+  | grep -oE '[0-9.eE+-]+$' || true)
+awk -v d="$DUR" 'BEGIN { exit !(d + 0 > 0) }' \
+  || fail "flight parse span without --metrics has duration [$DUR]"
+kill -INT "$SERVE2_PID"
+wait "$SERVE2_PID" 2>/dev/null || true
 
 # --- chaos soak smoke: healthy run, valid report, event log ------------------
 "$XAOS" soak --docs 120 --subs 25 --socket "$WORK/soak.sock" \

@@ -83,19 +83,37 @@ let test_time_is_exception_safe () =
   Alcotest.(check int) "span closed despite raise" 1
     (Tel.span_summary sp).Tel.count
 
-let test_histogram_summary () =
+(* The engine's structure-lifetime distribution is a {!Histogram}: an
+   evaluation with telemetry on exposes it as a Prometheus histogram
+   under its long-standing name. *)
+let test_lifetime_histogram_exposed () =
   fresh ();
+  let module H = Xaos_obs.Histogram in
+  let module Query = Xaos_core.Query in
+  let q = Query.compile_exn "//b[c]" in
+  let h =
+    match H.find "engine/structure_lifetime" with
+    | Some h -> h
+    | None -> Alcotest.fail "engine/structure_lifetime is not registered"
+  in
+  H.reset h;
   Tel.enable ();
-  let h = Tel.histogram "test_hist" in
-  List.iter (Tel.observe h) [ 1.; 3.; 100. ];
-  let s = Tel.histogram_summary h in
-  Alcotest.(check int) "count" 3 s.Tel.h_count;
-  Alcotest.(check (float 1e-9)) "sum" 104. s.Tel.h_sum;
-  Alcotest.(check (float 1e-9)) "min" 1. s.Tel.h_min;
-  Alcotest.(check (float 1e-9)) "max" 100. s.Tel.h_max;
-  (* cumulative buckets end with +inf holding everything *)
-  let _, last = List.nth s.Tel.h_buckets (List.length s.Tel.h_buckets - 1) in
-  Alcotest.(check int) "inf bucket" 3 last
+  ignore (Query.run_string q "<a><b><c/></b><b><d/></b></a>");
+  Tel.disable ();
+  let lines = String.split_on_char '\n' (Expose.render ()) in
+  Alcotest.(check bool) "histogram type line" true
+    (List.mem "# TYPE xaos_engine_structure_lifetime_elements histogram" lines);
+  let prefix = "xaos_engine_structure_lifetime_elements_count " in
+  let n = String.length prefix in
+  match
+    List.find_opt
+      (fun l -> String.length l > n && String.sub l 0 n = prefix)
+      lines
+  with
+  | Some l ->
+    let count = int_of_string (String.sub l n (String.length l - n)) in
+    Alcotest.(check bool) "non-zero _count" true (count > 0)
+  | None -> Alcotest.fail "no _count sample for the lifetime histogram"
 
 let test_expose_mentions_metrics () =
   fresh ();
@@ -579,7 +597,8 @@ let suite =
       test_span_with_injected_clock;
     Alcotest.test_case "time closes span on raise" `Quick
       test_time_is_exception_safe;
-    Alcotest.test_case "histogram summary" `Quick test_histogram_summary;
+    Alcotest.test_case "engine lifetime histogram exposed" `Quick
+      test_lifetime_histogram_exposed;
     Alcotest.test_case "prometheus exposition" `Quick
       test_expose_mentions_metrics;
     Alcotest.test_case "json round trip" `Quick test_json_round_trip;

@@ -563,6 +563,70 @@ let test_server_earliest_item_events () =
   | Some [ ("e", Json.Int 2) ] -> ()
   | _ -> Alcotest.fail "summary must agree with the item pushes"
 
+(* the publish acknowledgement is queued before the evaluator can see
+   the document, so on the publisher's connection it always arrives
+   before that document's [processed] event *)
+let test_server_ack_before_processed () =
+  with_server ~name:"ack" ~config_f:(fun c -> c) @@ fun path ->
+  let fd = connect path in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  (* one publish at a time, so every document races its own
+     acknowledgement on an idle evaluator *)
+  let n = 50 in
+  let seen =
+    List.concat_map
+      (fun i ->
+        send_req fd
+          (Protocol.Publish
+             { doc_id = Printf.sprintf "d%d" i; priority = 0; doc = "<a/>" });
+        fst
+          (read_until fd (fun seen ->
+               List.exists (is_event "processed") seen
+               && List.exists (fun j -> jstr "op" j = Some "publish") seen)))
+      (List.init n (fun i -> i + 1))
+  in
+  let index_of pred =
+    let rec go i = function
+      | [] -> None
+      | j :: tl -> if pred j then Some i else go (i + 1) tl
+    in
+    go 0 seen
+  in
+  for i = 1 to n do
+    let id = Some (Printf.sprintf "d%d" i) in
+    let ack =
+      index_of (fun j -> jstr "op" j = Some "publish" && jstr "id" j = id)
+    and processed = index_of (fun j -> is_event "processed" j && jstr "id" j = id) in
+    match ack, processed with
+    | Some a, Some p ->
+      if a > p then Alcotest.failf "d%d: processed arrived before its ack" i
+    | None, _ -> Alcotest.failf "d%d: no acknowledgement" i
+    | _, None -> Alcotest.failf "d%d: no processed event" i
+  done
+
+(* a mistyped optional field is an error naming the field, never its
+   default *)
+let test_protocol_rejects_mistyped_fields () =
+  List.iter
+    (fun (field, line) ->
+      match Protocol.request_of_line line with
+      | Error e ->
+        let quoted = Printf.sprintf "%S" field in
+        let n = String.length quoted in
+        let rec mentions i =
+          i + n <= String.length e && (String.sub e i n = quoted || mentions (i + 1))
+        in
+        if not (mentions 0) then
+          Alcotest.failf "%s: error %S does not name the field" field e
+      | Ok _ -> Alcotest.failf "%s: mistyped value accepted: %s" field line)
+    [ ("priority", {|{"op":"publish","id":"d","doc":"<a/>","priority":"high"}|});
+      ("interval_s", {|{"op":"stats-stream","interval_s":"fast","count":1}|});
+      ("count", {|{"op":"stats-stream","interval_s":1.0,"count":"one"}|});
+      ("n", {|{"op":"profile","n":"ten"}|});
+      ("by", {|{"op":"profile","by":7}|});
+      ("max", {|{"op":"slowlog","max":"all"}|}) ]
+
 (* ------------------------------------------------------------------ *)
 (* The soak: the acceptance test                                       *)
 (* ------------------------------------------------------------------ *)
@@ -625,4 +689,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_protocol_roundtrip;
     Alcotest.test_case "earliest emission p50 within 1 KiB" `Quick
       test_earliest_emission_p50;
+    Alcotest.test_case "protocol rejects mistyped fields" `Quick
+      test_protocol_rejects_mistyped_fields;
+    Alcotest.test_case "server ack precedes processed"
+      `Quick test_server_ack_before_processed;
   ]
